@@ -104,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--runtime",
         default=None,
-        choices=["threads", "sequential", "processes"],
         help=(
-            "execution backend for the SPMD ranks: threads (default), "
-            "sequential (deterministic round-robin, no timeouts), or "
-            "processes (forked workers, real parallelism); modeled "
-            "outputs are bit-identical across backends "
-            "(default: the REPRO_RUNTIME policy)"
+            "execution backend for the SPMD ranks: sequential "
+            "(deterministic round-robin, no timeouts) or processes "
+            "(forked workers, real parallelism); modeled outputs are "
+            "bit-identical across backends; an unknown name raises a "
+            "ValueError listing the known ones "
+            "(default: REPRO_RUNTIME, else sequential)"
         ),
     )
     group.add_argument(
@@ -119,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "seconds a rank may wait at a rendezvous before the run "
-            "aborts as deadlocked (default: REPRO_SPMD_TIMEOUT or 600)"
+            "processes runtime: seconds the coordinator waits without "
+            "hearing from a worker before aborting the run as stalled; "
+            "sequential detects deadlocks structurally and ignores it "
+            "(default: REPRO_SPMD_TIMEOUT or 600)"
         ),
     )
     group.add_argument(

@@ -22,8 +22,6 @@ SPMD rank body binding the two: run it under
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.comm import CommChannel, Sieve
@@ -36,31 +34,6 @@ from repro.core.frontier import dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.mpsim.communicator import Communicator
-
-#: Names that used to live in this module; import from their new homes.
-_MOVED = {
-    "make_sieve": "repro.comm",
-    "sieve_state": "repro.comm",
-    "restore_sieve": "repro.comm",
-    "partition_ranges": "repro.core.engine",
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.core.bfs1d.{name} moved to {_MOVED[name]}; "
-            "import it from there",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            "make_sieve": _make_sieve,
-            "sieve_state": _sieve_state,
-            "restore_sieve": _restore_sieve,
-            "partition_ranges": _partition_ranges,
-        }[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TopDown1D:

@@ -616,16 +616,17 @@ def run_bfs(
         ``result.meta["level_profile"]``.  Supported by the 1d/2d
         families; serial runs and baselines leave the profile ``None``.
     runtime:
-        Execution backend for the SPMD launch: ``"threads"`` (default),
-        ``"sequential"`` (deterministic round-robin scheduler), or
-        ``"processes"`` (forked workers, real parallelism).  ``None``
-        defers to the process-wide policy (``REPRO_RUNTIME``).  All
-        modeled outputs are bit-identical across backends.
+        Execution backend for the SPMD launch: ``"sequential"``
+        (deterministic round-robin scheduler) or ``"processes"``
+        (forked workers, real parallelism).  ``None`` defers to
+        ``REPRO_RUNTIME``, else ``"sequential"``.  All modeled outputs
+        are bit-identical across backends.
     spmd_timeout:
-        Seconds a rank may wait at a rendezvous before the run aborts
-        as deadlocked.  ``None`` defers to ``REPRO_SPMD_TIMEOUT`` or
-        the 600 s default; the sequential runtime detects deadlocks
-        structurally and ignores it.
+        Stall bound of the ``processes`` coordinator: seconds without a
+        message from any worker before the run aborts as deadlocked.
+        ``None`` defers to ``REPRO_SPMD_TIMEOUT`` or the 600 s default;
+        the sequential runtime detects deadlocks structurally and
+        ignores it.
     tracer:
         Optional :class:`~repro.obs.Tracer` recording nested per-rank,
         per-level phase spans in virtual time (1d/2d families only).

@@ -1,17 +1,19 @@
-"""Simulated MPI runtime: thread-based SPMD execution with virtual time.
+"""Simulated MPI runtime: SPMD execution with virtual time.
 
 This package is the distributed-memory *substrate* of the reproduction.
 The paper's algorithms were written against MPI on Cray XT4/XE6 systems;
 here they run unmodified (same collectives, same buffers, same bucketing)
 against an in-process SPMD engine:
 
-* every simulated rank runs the real algorithm in its own thread,
+* every simulated rank runs the real algorithm as its own rank body,
+  scheduled deterministically by :mod:`repro.runtime` (or in a forked
+  worker process under the ``processes`` runtime),
 * collectives (``Alltoallv``, ``Allgatherv``, ``Allreduce``, ...) move real
   NumPy buffers between ranks, so communication **volumes are exact**,
 * a per-rank :class:`~repro.mpsim.clock.RankClock` tracks *virtual* time:
   local computation is charged through the paper's alpha-beta memory model
   and collective completion is computed by a pluggable
-  :class:`~repro.mpsim.engine.CollectiveCostModel`, so waiting/idling is
+  :class:`~repro.runtime.base.CollectiveCostModel`, so waiting/idling is
   attributed to MPI time exactly the way the paper measures it (Fig. 4).
 
 Entry point: :func:`~repro.mpsim.engine.run_spmd`.
@@ -19,18 +21,17 @@ Entry point: :func:`~repro.mpsim.engine.run_spmd`.
 
 from repro.mpsim.clock import RankClock
 from repro.mpsim.communicator import Communicator
-from repro.mpsim.engine import (
-    CollectiveCostModel,
-    SimAborted,
-    SimEngine,
-    SpmdFailure,
-    SpmdResult,
-    ZeroCostModel,
-    run_spmd,
-)
+from repro.mpsim.engine import run_spmd
 from repro.mpsim.grid import ProcessorGrid, closest_square
 from repro.mpsim.stats import RankStats, SimStats
 from repro.mpsim.timeline import TimelineEvent, render_timeline
+from repro.runtime.base import (
+    CollectiveCostModel,
+    SimAborted,
+    SpmdFailure,
+    SpmdResult,
+    ZeroCostModel,
+)
 
 __all__ = [
     "RankClock",
@@ -38,7 +39,6 @@ __all__ = [
     "CollectiveCostModel",
     "ZeroCostModel",
     "SimAborted",
-    "SimEngine",
     "SpmdFailure",
     "SpmdResult",
     "run_spmd",

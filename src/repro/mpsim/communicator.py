@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.mpsim import collectives as coll
-from repro.mpsim.engine import SimEngine, _GroupState
+from repro.runtime.base import EngineBase, GroupBase
 
 #: Collective kinds that move no observable payload words.
 _CONTROL_KINDS = frozenset({"barrier", "split"})
@@ -30,7 +30,7 @@ _CONTROL_KINDS = frozenset({"barrier", "split"})
 class Communicator:
     """Handle through which one simulated rank communicates with its group."""
 
-    def __init__(self, engine: SimEngine, state: _GroupState, group_rank: int):
+    def __init__(self, engine: EngineBase, state: GroupBase, group_rank: int):
         self.engine = engine
         self._st = state
         self.rank = group_rank

@@ -1,16 +1,9 @@
-"""Back-compat facade over the pluggable execution runtimes.
+"""The single SPMD dispatch point.
 
-Historically this module *was* the thread-based SPMD engine.  The
-substrate now lives in :mod:`repro.runtime` — backend-neutral pieces in
-:mod:`repro.runtime.base`, the thread engine (verbatim) in
-:mod:`repro.runtime.threads`, plus deterministic-sequential and
-process-parallel siblings — and this module re-exports the historical
-names so ``from repro.mpsim.engine import SimEngine, run_spmd, ...``
-keeps working unchanged.
-
-:func:`run_spmd` here is the dispatching entry point: it forwards to
-the active backend (``REPRO_RUNTIME`` / :func:`repro.runtime.set_runtime`)
-unless a ``runtime=`` override names one explicitly.
+:func:`run_spmd` forwards to the active execution runtime
+(``REPRO_RUNTIME``, default ``sequential``) unless a ``runtime=``
+override names one explicitly.  The engines themselves live in
+:mod:`repro.runtime`.
 """
 
 from __future__ import annotations
@@ -19,35 +12,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.runtime import get_backend
-from repro.runtime.base import (  # noqa: F401  (historical re-exports)
-    DEFAULT_TIMEOUT,
-    TIMEOUT_ENV_VAR,
-    CollectiveCostModel,
-    SimAborted,
-    SpmdFailure,
-    SpmdResult,
-    ZeroCostModel,
-    default_timeout,
-)
-from repro.runtime.threads import ThreadsEngine, _GroupState  # noqa: F401
-
-#: Historical name of the thread engine; code constructing an engine
-#: directly (rather than going through ``run_spmd``) gets the threads
-#: backend, exactly as before the runtime split.
-SimEngine = ThreadsEngine
-
-__all__ = [
-    "DEFAULT_TIMEOUT",
-    "TIMEOUT_ENV_VAR",
-    "CollectiveCostModel",
-    "SimAborted",
-    "SimEngine",
-    "SpmdFailure",
-    "SpmdResult",
-    "ZeroCostModel",
-    "default_timeout",
-    "run_spmd",
-]
+from repro.runtime.base import CollectiveCostModel, SpmdResult
 
 
 def run_spmd(
@@ -65,14 +30,17 @@ def run_spmd(
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
 
     Dispatches to the active execution runtime (or ``runtime=`` when
-    given): one rank per thread (``threads``), a deterministic
-    round-robin scheduler (``sequential``), or one forked worker process
-    per rank (``processes``).  All modeled outputs are bit-identical
-    across backends; exceptions raised by any rank abort the whole run
-    and re-raise as :class:`SpmdFailure` in the caller.
+    given): a deterministic round-robin scheduler (``sequential``) or
+    one forked worker process per rank (``processes``).  All modeled
+    outputs are bit-identical across backends; exceptions raised by any
+    rank abort the whole run and re-raise as
+    :class:`~repro.runtime.base.SpmdFailure` in the caller.
 
-    ``timeout=None`` applies the default policy: ``REPRO_SPMD_TIMEOUT``
-    when set, else :data:`DEFAULT_TIMEOUT`.
+    ``timeout`` bounds how long the ``processes`` coordinator waits
+    without hearing from a worker; ``None`` applies
+    ``REPRO_SPMD_TIMEOUT`` when set, else
+    :data:`~repro.runtime.base.DEFAULT_TIMEOUT`.  The ``sequential``
+    runtime detects deadlocks structurally and ignores it.
 
     Returns
     -------

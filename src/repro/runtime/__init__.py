@@ -2,17 +2,13 @@
 
 The simulator's algorithms are written against one interface — a
 :class:`~repro.mpsim.communicator.Communicator` backed by an *execution
-engine* — and this package supplies interchangeable engines:
+engine* — and this package supplies two interchangeable engines:
 
-* :mod:`repro.runtime.threads` — one OS thread per simulated rank
-  rendezvousing on ``threading.Barrier`` (the historical engine, moved
-  here verbatim).  The default: preemptive scheduling shakes out
-  ordering bugs, and shared memory makes obs/faults plumbing free.
-* :mod:`repro.runtime.sequential` — a deterministic single-runnable
-  round-robin scheduler that steps ranks between collective rendezvous
-  points.  No lock contention, no timeouts (a deadlock is *detected
-  structurally* the moment no rank can run); the fastest and most
-  debuggable path for tests and CI.
+* :mod:`repro.runtime.sequential` — the default: a deterministic
+  single-runnable round-robin scheduler that steps ranks between
+  collective rendezvous points.  No lock contention, no timeouts (a
+  deadlock is *detected structurally* the moment no rank can run), and
+  shared memory makes obs/faults plumbing free.
 * :mod:`repro.runtime.processes` — one ``fork``-ed worker process per
   rank, a pipe-based coordinator for rendezvous, and
   ``multiprocessing.shared_memory``-backed numpy transfers for large
@@ -27,10 +23,9 @@ locks this in for every registered algorithm, and the golden fixtures
 pin the default backend bit for bit.
 
 **Choosing a backend.**  The ``REPRO_RUNTIME`` environment variable
-selects the startup backend (``threads`` is the default);
-:func:`set_runtime` / :func:`use_runtime` switch at runtime (the tests'
-mechanism), and ``runtime=`` / ``--runtime`` select per run through
-``RunConfig`` -> ``run_bfs`` / ``run_query`` -> the CLI.
+names the default backend (``sequential`` when unset), and ``runtime=``
+/ ``--runtime`` select per run through ``RunConfig`` -> ``run_bfs`` /
+``run_query`` -> the CLI.
 
 Adding a backend: subclass :class:`repro.runtime.base.EngineBase`,
 implement the :class:`ExecutionEngine` scheduling half (``collective``,
@@ -44,7 +39,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
 from typing import Any, Protocol, runtime_checkable
 
 from repro.runtime.base import (  # noqa: F401  (re-exports)
@@ -60,11 +54,11 @@ from repro.runtime.base import (  # noqa: F401  (re-exports)
 )
 from repro.mpsim.stats import SimStats
 
-#: Environment variable naming the startup backend.
+#: Environment variable naming the default backend.
 ENV_VAR = "REPRO_RUNTIME"
 
-#: Recognized backend names.  ``threads`` is the default.
-BACKENDS = ("threads", "sequential", "processes")
+#: Recognized backend names.  ``sequential`` is the default.
+BACKENDS = ("sequential", "processes")
 
 
 @runtime_checkable
@@ -145,65 +139,19 @@ class ExecutionBackend(Protocol):
         ...
 
 
-_active_name: str | None = None
+def active_runtime() -> str:
+    """Name of the backend ``run_spmd`` dispatches to by default.
 
-
-def _resolve_startup_runtime() -> str:
-    """Apply the ``REPRO_RUNTIME`` policy: threads unless overridden."""
+    Applies the ``REPRO_RUNTIME`` policy on every call: ``sequential``
+    unless the variable names another backend.
+    """
     choice = os.environ.get(ENV_VAR, "").strip().lower()
     if choice and choice not in BACKENDS:
         raise ValueError(
             f"{ENV_VAR}={choice!r} is not an execution runtime; "
             f"known: {sorted(BACKENDS)}"
         )
-    return choice or "threads"
-
-
-def _load(name: str) -> ExecutionBackend:
-    if name == "threads":
-        from repro.runtime import threads as mod
-    elif name == "sequential":
-        from repro.runtime import sequential as mod
-    else:
-        from repro.runtime import processes as mod
-    return mod
-
-
-def active_runtime() -> str:
-    """Name of the backend ``run_spmd`` currently dispatches to."""
-    global _active_name
-    if _active_name is None:
-        _active_name = _resolve_startup_runtime()
-    return _active_name
-
-
-def set_runtime(name: str | None) -> str:
-    """Switch the execution runtime process-wide.
-
-    ``name`` is one of :data:`BACKENDS`, or ``None`` to re-apply the
-    ``REPRO_RUNTIME`` startup policy.  Returns the active name.
-    """
-    global _active_name
-    if name is None:
-        _active_name = None
-        return active_runtime()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown execution runtime {name!r}; known: {sorted(BACKENDS)}"
-        )
-    _active_name = name
-    return _active_name
-
-
-@contextmanager
-def use_runtime(name: str):
-    """Context manager pinning the runtime, restoring the previous one."""
-    previous = active_runtime()
-    set_runtime(name)
-    try:
-        yield
-    finally:
-        set_runtime(previous)
+    return choice or "sequential"
 
 
 def get_backend(name: str | None = None) -> ExecutionBackend:
@@ -214,4 +162,8 @@ def get_backend(name: str | None = None) -> ExecutionBackend:
         raise ValueError(
             f"unknown execution runtime {name!r}; known: {sorted(BACKENDS)}"
         )
-    return _load(name)
+    if name == "sequential":
+        from repro.runtime import sequential as mod
+    else:
+        from repro.runtime import processes as mod
+    return mod

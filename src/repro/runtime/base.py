@@ -4,10 +4,9 @@ The classes here are backend-neutral: the failure/teardown exceptions,
 the collective cost-model interface, the per-run result container, and
 :class:`EngineBase` — the state every engine owns regardless of how it
 schedules rank bodies (virtual clocks, wire statistics, the group
-registry).  Backend modules (:mod:`repro.runtime.threads`,
-:mod:`repro.runtime.sequential`, :mod:`repro.runtime.processes`)
-subclass :class:`EngineBase` and add their scheduling and rendezvous
-machinery.
+registry).  Backend modules (:mod:`repro.runtime.sequential`,
+:mod:`repro.runtime.processes`) subclass :class:`EngineBase` and add
+their scheduling and rendezvous machinery.
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ from typing import Any
 from repro.mpsim.clock import RankClock
 from repro.mpsim.stats import RankStats, SimStats
 
-#: Default seconds a rank may wait at a rendezvous before the run is
-#: aborted.  Generous, because functional simulations with hundreds of
-#: ranks can make slow progress under the GIL; a genuine deadlock still
-#: surfaces.  Overridable per run (``timeout=``/``spmd_timeout=``) or
-#: per environment (:data:`TIMEOUT_ENV_VAR`).
+#: Default stall bound of the ``processes`` coordinator: seconds it
+#: waits without a message from any worker before aborting the run as
+#: deadlocked.  Generous, because a slow rank body is not a stall.  The
+#: ``sequential`` runtime detects deadlocks structurally and ignores it.
+#: Overridable per run (``timeout=``/``spmd_timeout=``) or per
+#: environment (:data:`TIMEOUT_ENV_VAR`).
 DEFAULT_TIMEOUT = 600.0
 
 #: Environment variable overriding :data:`DEFAULT_TIMEOUT` for runs that
-#: do not pass an explicit timeout — slow CI boxes raise it, deadlock
-#: regression tests lower it.
+#: do not pass an explicit timeout.
 TIMEOUT_ENV_VAR = "REPRO_SPMD_TIMEOUT"
 
 

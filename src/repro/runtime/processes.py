@@ -32,8 +32,9 @@ Failure handling: a rank body's exception travels home pickled inside
 the exit message (``SpmdFailure`` and the fault exceptions define
 ``__reduce__`` for this); the coordinator then broadcasts an abort that
 releases every blocked worker.  A message gap longer than the engine
-timeout is treated as a stall/deadlock, aborting like the threads
-backend's barrier timeout.
+timeout is treated as a stall/deadlock and aborts the run: workers
+block in their own address spaces, so unlike the sequential scheduler
+the coordinator cannot see a deadlock structurally.
 """
 
 from __future__ import annotations
@@ -392,14 +393,14 @@ def run_spmd(
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` forked workers.
 
-    Semantics match the threads backend (same modeled outputs, same
-    ``SpmdFailure``); the coordinator's message-gap timeout plays the
-    barrier timeout's role.
+    Semantics match the sequential backend (same modeled outputs, same
+    ``SpmdFailure``); the coordinator's message-gap timeout stands in for
+    its structural deadlock detection.
     """
     if not _fork_available():
         raise RuntimeError(
             "the processes runtime requires the fork start method "
-            "(unavailable on this platform); use threads or sequential"
+            "(unavailable on this platform); use the sequential runtime"
         )
     ctx = multiprocessing.get_context("fork")
     # Start the tracker pre-fork so every worker shares it: duplicate

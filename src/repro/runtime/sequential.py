@@ -14,7 +14,7 @@ of rendezvous points, the interleaving is identical on every run — no
 lock contention, no preemption races, and *no timeouts*: a deadlock is
 detected structurally the moment no rank can run (every live rank
 blocked), and aborts the simulation immediately instead of waiting for
-a timer.  This is the fastest and most debuggable path for tests/CI.
+a timer.  This is the default runtime.
 
 Rank bodies still execute on (daemon) OS threads so that blocking is an
 ordinary wait, but the baton discipline means the threads never run
@@ -193,9 +193,10 @@ def run_spmd(
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` baton-scheduled ranks.
 
-    Semantics match the threads backend (same aborts, same
-    ``SpmdFailure``), but execution order is fully deterministic and a
-    deadlock aborts immediately instead of after a timeout.
+    Exceptions raised by any rank abort the whole run and re-raise (the
+    first one, with the rank noted) as :class:`SpmdFailure`.  Execution
+    order is fully deterministic, and a deadlock aborts the moment every
+    live rank is blocked.
     """
     from repro.mpsim.communicator import Communicator
 

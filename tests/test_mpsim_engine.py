@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mpsim import ProcessorGrid, RankClock, run_spmd
-from repro.mpsim.engine import CollectiveCostModel
+from repro.mpsim import CollectiveCostModel, ProcessorGrid, RankClock, run_spmd
 
 
 class TestRunSpmd:

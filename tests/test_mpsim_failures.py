@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,34 @@ from repro.comm import RawCodec
 from repro.core.bfs1d import bfs_1d
 from repro.core.bfs_dirop import bfs_1d_dirop
 from repro.graphs.rmat import rmat_graph
-from repro.mpsim import run_spmd
-from repro.mpsim.engine import SimEngine
+from repro.mpsim import SpmdFailure, run_spmd
+from repro.runtime.base import EngineBase
+
+
+def _assert_structural_deadlock(nranks, fn):
+    """``fn`` deadlocks; the sequential scheduler must abort it at once.
+
+    No ``timeout=`` is passed: the abort comes from the scheduler seeing
+    every live rank blocked, not from a timer.  The runtime is pinned
+    because the ``processes`` coordinator can only detect a stall by
+    waiting out its timeout.  The run is launched on a helper thread so
+    a missed detection fails the test instead of hanging it.
+    """
+    failures = []
+
+    def launch():
+        try:
+            run_spmd(nranks, fn, runtime="sequential")
+        except SpmdFailure as failure:
+            failures.append(failure)
+
+    launcher = threading.Thread(target=launch, daemon=True)
+    launcher.start()
+    launcher.join(timeout=10.0)
+    assert not launcher.is_alive(), "deadlock not detected within 10 s"
+    (failure,) = failures
+    assert isinstance(failure.exc, TimeoutError)
+    assert str(failure.exc).startswith("deadlock: every live rank is blocked")
 
 
 class TestAbortPaths:
@@ -56,15 +84,14 @@ class TestAbortPaths:
         """Rank 0 calls a different collective than the others; the
         deterministic protocol still exchanges payloads (the mismatch is
         a semantic bug), but a hard *count* mismatch — one rank exiting
-        early — must abort via the timeout rather than hang."""
+        early, a barrier member missing — must abort rather than hang."""
 
         def fn(comm):
             if comm.rank == 0:
                 return None  # leaves the group short-handed
             comm.barrier()
 
-        with pytest.raises(RuntimeError, match="failed|Barrier"):
-            run_spmd(2, fn, timeout=0.5)
+        _assert_structural_deadlock(2, fn)
 
 
 class TestBottomUpExpandFailure:
@@ -171,22 +198,38 @@ class TestMidDecodeFailure:
             assert np.array_equal(got["parents"], want["parents"])
 
 
-class TestTimeout:
-    def test_timeout_breaks_deadlock(self):
+class TestDeadlockDetection:
+    def test_recv_and_barrier_wait_on_each_other(self):
         def fn(comm):
             if comm.rank == 0:
                 comm.recv(source=1)  # never sent
             else:
                 comm.barrier()  # rank 0 never joins
 
-        with pytest.raises(RuntimeError):
-            run_spmd(2, fn, timeout=0.5)
+        _assert_structural_deadlock(2, fn)
+
+    def test_recv_nobody_sends(self):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.recv(source=1)  # rank 1 returns without sending
+            return comm.rank
+
+        _assert_structural_deadlock(2, fn)
+
+    def test_subcommunicator_short_by_one_rank(self):
+        def fn(comm):
+            sub = comm.split(color=comm.rank % 2)
+            if comm.rank != 3:  # rank 1 waits for rank 3 in the odd group
+                sub.barrier()
+            return comm.rank
+
+        _assert_structural_deadlock(4, fn)
 
 
 class TestEngineValidation:
     def test_bad_nranks(self):
         with pytest.raises(ValueError, match="nranks"):
-            SimEngine(0)
+            EngineBase(0)
 
     def test_results_preserved_before_failure(self):
         """Ranks that returned before the abort keep their results...
@@ -240,8 +283,6 @@ class TestFailurePickling:
 
     def test_spmd_failure_round_trips_rank_exc_stats(self):
         import pickle
-
-        from repro.mpsim import SpmdFailure
 
         def fn(comm):
             comm.allreduce(comm.rank)

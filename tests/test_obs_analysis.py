@@ -116,7 +116,7 @@ class TestImbalance:
             4,
             fn,
             cost_model=NetworkCostModel(FRANKLIN, total_ranks=4),
-            runtime="threads",
+            runtime="sequential",
         )
         (work,) = [r for r in load_imbalance(tracer) if r.phase == "work"]
         assert work.straggler == 2

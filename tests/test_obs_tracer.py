@@ -104,7 +104,7 @@ class TestTracer:
         # Pinned to the shared-memory runtime: the tracer here is a
         # closure capture, which only the runner's ``tracer=`` kwarg
         # plumbing can ship back from process workers.
-        assert all(run_spmd(4, fn, runtime="threads").returns)
+        assert all(run_spmd(4, fn, runtime="sequential").returns)
         assert tracer.ranks == [0, 1, 2, 3]
         for rank in tracer.ranks:
             (span,) = tracer.spans_for(rank)

@@ -1,8 +1,8 @@
 """Runtime-equivalence sweep: full runs under every execution backend.
 
 For every registered algorithm, one complete timed traversal runs under
-each execution runtime — ``threads``, ``sequential``, ``processes`` —
-and the *entire* observable output is asserted identical: levels,
+each execution runtime — ``sequential`` and ``processes`` — and the
+*entire* observable output is asserted identical: levels,
 parents, level count, traversed-edge count, the modeled time breakdown,
 and (for the instrumented families) the full span stream.  This is the
 end-to-end half of the runtime bit-identity contract (see
@@ -92,8 +92,8 @@ def _observe(result) -> dict:
 
 @pytest.mark.parametrize("algorithm", RUNTIME_BACKEND_ALGORITHMS)
 def test_runtime_switch_preserves_full_run(algorithm):
-    """threads / sequential / processes agree on every observable."""
-    baseline = _observe(_run(algorithm, "threads"))
+    """sequential and processes agree on every observable."""
+    baseline = _observe(_run(algorithm, "sequential"))
     for name in RUNTIMES[1:]:
         assert _observe(_run(algorithm, name)) == baseline, name
 
@@ -110,8 +110,7 @@ def test_runtime_switch_preserves_spans(algorithm):
             (s.rank, s.phase, s.t_start, s.t_end, s.level, s.depth, s.parent)
             for s in tracer.all_spans()
         ]
-    assert streams["sequential"] == streams["threads"]
-    assert streams["processes"] == streams["threads"]
+    assert streams["processes"] == streams["sequential"]
 
 
 @pytest.mark.parametrize("algorithm", CRASH_ALGORITHMS)
@@ -119,7 +118,7 @@ def test_runtime_switch_preserves_crash_recovery(algorithm):
     """A permanent rank loss plus checkpoint-restart recovers to the
     same tree, with the same attempt count and the same restore records
     on the same virtual timeline, under every backend."""
-    oracle = _run(algorithm, "threads")
+    oracle = _run(algorithm, "sequential")
     crash_level = max(1, min(2, oracle.nlevels - 1))
     fault_spec = f"crash:rank=1,level={crash_level};seed=3"
     observed = {}
@@ -137,11 +136,10 @@ def test_runtime_switch_preserves_crash_recovery(algorithm):
             ),
         )
     # The crash actually fired and the driver actually restarted.
-    assert observed["threads"][1] == 2
-    assert observed["sequential"] == observed["threads"]
-    assert observed["processes"] == observed["threads"]
+    assert observed["sequential"][1] == 2
+    assert observed["processes"] == observed["sequential"]
     assert np.array_equal(
-        observed["threads"][0]["levels"], _observe(oracle)["levels"]
+        observed["sequential"][0]["levels"], _observe(oracle)["levels"]
     )
 
 
@@ -199,61 +197,66 @@ class TestProcessesMechanics:
         clone = pickle.loads(pickle.dumps(failure))
         assert clone.rank == 2 and str(clone) == str(failure)
 
+    def test_missing_fork_raises_a_clear_error(self, monkeypatch):
+        """Without the fork start method the backend refuses to start
+        and names the runtime that works everywhere."""
+        from repro.runtime import processes
+
+        monkeypatch.setattr(processes, "_fork_available", lambda: False)
+        with pytest.raises(RuntimeError, match="fork") as info:
+            run_spmd(2, lambda comm: comm.rank, runtime="processes")
+        assert "sequential" in str(info.value)
+        assert "threads" not in str(info.value)
+
 
 class TestRuntimePolicy:
     """REPRO_RUNTIME resolution mirrors the REPRO_KERNELS policy."""
 
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        previous = runtime.active_runtime()
-        yield
-        runtime.set_runtime(previous)
-
-    def test_default_is_threads(self, monkeypatch):
+    def test_default_is_sequential(self, monkeypatch):
         monkeypatch.delenv(runtime.ENV_VAR, raising=False)
-        assert runtime.set_runtime(None) == "threads"
-
-    def test_env_selects_startup_runtime(self, monkeypatch):
-        monkeypatch.setenv(runtime.ENV_VAR, "sequential")
-        assert runtime.set_runtime(None) == "sequential"
+        assert runtime.active_runtime() == "sequential"
         assert runtime.get_backend().name == "sequential"
 
-    def test_env_rejects_unknown_name(self, monkeypatch):
-        monkeypatch.setenv(runtime.ENV_VAR, "fibers")
-        with pytest.raises(ValueError, match="REPRO_RUNTIME='fibers'"):
-            runtime.set_runtime(None)
+    def test_env_selects_startup_runtime(self, monkeypatch):
+        monkeypatch.setenv(runtime.ENV_VAR, "processes")
+        assert runtime.active_runtime() == "processes"
+        assert runtime.get_backend().name == "processes"
 
-    def test_set_and_use_runtime(self):
-        runtime.set_runtime("sequential")
-        assert runtime.active_runtime() == "sequential"
-        with runtime.use_runtime("threads"):
-            assert runtime.active_runtime() == "threads"
-        assert runtime.active_runtime() == "sequential"
-        with pytest.raises(ValueError, match="unknown execution runtime"):
-            runtime.set_runtime("green")
+    def test_env_rejects_unknown_name(self, monkeypatch):
+        for name in ("fibers", "threads"):
+            monkeypatch.setenv(runtime.ENV_VAR, name)
+            with pytest.raises(
+                ValueError,
+                match=rf"REPRO_RUNTIME='{name}' .*; known: "
+                r"\['processes', 'sequential'\]",
+            ):
+                runtime.active_runtime()
 
     def test_run_config_validates_runtime(self):
-        with pytest.raises(ValueError, match="unknown execution runtime"):
-            RunConfig(runtime="fibers")
+        for name in ("fibers", "threads"):
+            with pytest.raises(
+                ValueError,
+                match=rf"unknown execution runtime '{name}'; known: "
+                r"\['processes', 'sequential'\]",
+            ):
+                RunConfig(runtime=name)
         with pytest.raises(ValueError, match="spmd_timeout"):
             RunConfig(spmd_timeout=0.0)
 
 
 class TestTimeoutPolicy:
-    """REPRO_SPMD_TIMEOUT and the spmd_timeout= override (satellite 1)."""
+    """REPRO_SPMD_TIMEOUT and the spmd_timeout= override."""
 
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv(runtime.TIMEOUT_ENV_VAR, raising=False)
         assert runtime.default_timeout() == runtime.DEFAULT_TIMEOUT
 
     def test_env_overrides_engine_default(self, monkeypatch):
-        from repro.mpsim import SimEngine
-
         monkeypatch.setenv(runtime.TIMEOUT_ENV_VAR, "42.5")
         assert runtime.default_timeout() == 42.5
-        assert SimEngine(2).timeout == 42.5
+        assert runtime.EngineBase(2).timeout == 42.5
         # An explicit timeout= still wins over the environment.
-        assert SimEngine(2, timeout=7.0).timeout == 7.0
+        assert runtime.EngineBase(2, timeout=7.0).timeout == 7.0
 
     def test_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv(runtime.TIMEOUT_ENV_VAR, "soon")
@@ -264,9 +267,10 @@ class TestTimeoutPolicy:
             runtime.default_timeout()
 
     def test_spmd_timeout_reaches_the_engine(self):
-        """The RunConfig field arrives as the engine timeout: a run that
-        deadlocks under a tiny budget aborts (instead of waiting out the
-        600 s default), proving the value was applied."""
+        """The timeout arrives as the processes coordinator's stall
+        bound: a run that deadlocks under a tiny budget aborts (instead
+        of waiting out the 600 s default), proving the value was
+        applied."""
 
         def stuck(comm):
             if comm.rank == 0:
@@ -276,4 +280,4 @@ class TestTimeoutPolicy:
         from repro.mpsim import SpmdFailure
 
         with pytest.raises(SpmdFailure, match="failed"):
-            run_spmd(2, stuck, runtime="threads", timeout=0.4)
+            run_spmd(2, stuck, runtime="processes", timeout=0.4)

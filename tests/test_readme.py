@@ -44,11 +44,24 @@ def test_readme_experiment_ids_exist():
 
 
 def test_version_consistency():
-    import importlib.metadata as md
+    """``repro.__version__`` matches the version ``pyproject.toml``
+    declares.  Read from the source tree, not installed metadata, so the
+    check holds under ``PYTHONPATH=src`` without a ``pip install``."""
+    import sys
 
     import repro
 
-    assert repro.__version__ == md.version("repro")
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        declared = tomllib.loads(pyproject)["project"]["version"]
+    else:
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+        declared = re.search(
+            r'^version\s*=\s*"([^"]+)"', project.group(1), re.M
+        ).group(1)
+    assert repro.__version__ == declared
 
 
 def test_design_doc_module_inventory_is_real():

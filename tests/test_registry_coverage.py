@@ -16,7 +16,7 @@ declared capability:
 * every algorithm appears in the kernel-backend equivalence sweep
   (numpy vs pure-python kernels, ``tests/test_property_kernels.py``);
 * every algorithm appears in the runtime-backend equivalence sweep
-  (threads vs sequential vs processes execution runtimes,
+  (sequential vs processes execution runtimes,
   ``tests/test_property_runtimes.py``).
 
 Because the harness lists are import-time snapshots, registering an
