@@ -172,12 +172,13 @@ def traversal_body(
 ) -> dict:
     """Generic SPMD rank body: build one step plugin and run the engine.
 
-    ``run_bfs`` launches every engine-driven family through this single
-    body — ``run_spmd(nranks, traversal_body, StepClass, args, kwargs,
-    ...)`` — so registering a new algorithm needs no new rank-body
-    function.  Each rank constructs its own step instance (steps hold
-    per-rank arrays); ``step_args``/``step_kwargs`` are shared read-only
-    inputs like the CSR or the 2D blocks.
+    ``repro.core.runner.launch`` runs every engine-driven family through
+    this single body — ``run_spmd(nranks, traversal_body, StepClass,
+    args, kwargs, ...)`` — so registering a new algorithm needs no new
+    rank-body function.  Each rank constructs its own step instance
+    (steps hold per-rank arrays); ``step_args``/``step_kwargs`` are shared
+    read-only inputs like the CSR or the 2D blocks, frozen by
+    ``runner.prepare``.
     """
     step = step_cls(*step_args, **step_kwargs)
     return TraversalEngine(

@@ -1,25 +1,35 @@
-"""High-level BFS driver: partition, simulate, reassemble, report.
+"""High-level BFS driver: prepare, simulate, reassemble, report.
 
 :func:`run` is the typed entry point: it takes a :class:`RunConfig`
 (the run's full cross-cutting configuration, validated in one place),
 looks the algorithm up in the declarative :data:`ALGORITHMS` registry
-(name -> :class:`AlgorithmSpec`: step-plugin class + capabilities),
-launches the SPMD simulation of the
-:class:`~repro.core.engine.TraversalEngine` with the requested machine
-cost model, stitches the per-rank outputs back into full
+(name -> :class:`AlgorithmSpec`: step-plugin class, rank body, prepare
+hook + capabilities), launches the SPMD simulation with the requested
+machine cost model, stitches the per-rank outputs back into full
 ``levels``/``parents`` arrays in the caller's vertex labels, and wraps
 everything in a :class:`BFSResult` with TEPS accounting and the modeled
 time breakdown.  :func:`run_bfs` keeps the historical keyword API as a
 thin compatibility shim over ``run``.
+
+Every distributed family, the batched queries of
+:func:`repro.query.run_query` included, runs through one launcher,
+:func:`launch`.  Its source-independent half — rank count and the
+step's graph-side arguments, e.g. the 2D blocks — comes from
+:func:`prepare`, which builds it once per graph and configuration,
+freezes it read-only and keeps it on the :class:`Graph`, so repeated
+searches (Graph 500's kernel 2) share one distribution.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.baselines import bfs_graph500_ref, bfs_pbgl_like
 from repro.core.bfs1d import TopDown1D
 from repro.core.bfs2d import SpMSV2D, build_2d_blocks
 from repro.core.bfs2d_dirop import DirOpt2D
@@ -47,12 +57,82 @@ from repro.query.sssp import DeltaSSSP1D
 
 
 @dataclass(frozen=True)
+class Prepared:
+    """Everything about a run that does not depend on its source.
+
+    ``nranks`` is the SPMD rank count; ``args`` are the step's leading
+    positional arguments (the CSR, or the 2D blocks and their
+    :class:`~repro.core.partition.Decomp2D`) and ``kwargs`` its
+    graph-derived keywords (``symmetric``, the global ``degrees``).
+    :func:`prepare` freezes every array in it, so a step that writes into
+    shared state raises instead of corrupting the next search.
+    """
+
+    nranks: int
+    args: tuple
+    kwargs: dict = field(default_factory=dict)
+
+
+def _prepare_1d(graph: Graph, resolved: "ResolvedRun") -> Prepared:
+    """1D families: ``nprocs`` ranks, each owning a slice of the shared CSR."""
+    return Prepared(resolved.config.nprocs, (graph.csr,))
+
+
+def _prepare_1d_dirop(graph: Graph, resolved: "ResolvedRun") -> Prepared:
+    return Prepared(
+        resolved.config.nprocs, (graph.csr,), {"symmetric": not graph.directed}
+    )
+
+
+def _prepare_2d(graph: Graph, resolved: "ResolvedRun") -> Prepared:
+    """2D families: the closest square grid (or ``grid_shape``) and its blocks."""
+    config = resolved.config
+    if config.grid_shape is not None:
+        pr, pc = config.grid_shape
+    else:
+        pr = pc = math.isqrt(config.nprocs)
+    if pr < 1 or pc < 1:
+        raise ValueError(f"grid must be positive, got {pr}x{pc}")
+    decomp = Decomp2D(
+        graph.n, pr, pc, diagonal_vectors=(config.vector_dist == "1d")
+    )
+    blocks = build_2d_blocks(graph.csr, decomp, threads=resolved.threads)
+    return Prepared(pr * pc, (blocks, decomp))
+
+
+def _prepare_2d_dirop(graph: Graph, resolved: "ResolvedRun") -> Prepared:
+    prepared = _prepare_2d(graph, resolved)
+    return dataclasses.replace(prepared, kwargs={"degrees": graph.csr.degrees()})
+
+
+def _baseline_body(baseline: Callable) -> Callable:
+    """Rank body of a step-less baseline ``baseline(comm, csr, source, machine)``.
+
+    It takes the launcher's call like :func:`traversal_body` does; the
+    baselines are flat and uninstrumented, so only ``machine`` applies.
+    """
+
+    def body(comm, _step, step_args, _step_kwargs, machine=None, **_engine):
+        return baseline(comm, *step_args, machine=machine)
+
+    return body
+
+
+@dataclass(frozen=True)
 class AlgorithmSpec:
     """Declarative registry entry: how one algorithm name runs.
 
     ``step`` is the :class:`~repro.core.engine.AlgorithmStep` plugin
     class for engine-driven families (``None`` for the serial reference
-    and the baselines, which bring their own rank bodies).
+    and the baselines).  ``body`` is the SPMD rank body the launcher
+    runs, called as ``body(comm, step, step_args, step_kwargs,
+    **engine_kwargs)``: :func:`~repro.core.engine.traversal_body` for the
+    engine families, the baseline's own code for ``pbgl`` and
+    ``graph500-ref``.  ``prepare(graph, resolved) -> Prepared`` builds
+    the run's source-independent state (``None`` for the families that
+    launch no SPMD run of their own: ``serial`` and ``landmark``), and
+    ``options`` maps step keywords onto the :class:`RunConfig` fields
+    that feed them.
     ``capabilities`` names the cross-cutting concerns the family
     supports; :meth:`RunConfig.resolve` rejects options the registry
     does not declare:
@@ -77,36 +157,73 @@ class AlgorithmSpec:
     step: type | None = None
     capabilities: frozenset = frozenset()
     kind: str = "bfs"
+    prepare: Callable | None = _prepare_1d
+    options: dict = field(default_factory=dict)
+    body: Callable = traversal_body
 
 
 #: Everything the engine provides to its step plugins.
 ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "faults", "trace-profile"})
 
+#: Step keyword -> RunConfig field, per family.
+_1D_OPTIONS = {"dedup_sends": "dedup_sends", "codec": "codec", "sieve": "sieve"}
+_2D_OPTIONS = {
+    "kernel": "kernel",
+    "modeled_cores": "modeled_cores",
+    "codec": "codec",
+    "sieve": "sieve",
+}
+_DIROP_OPTIONS = {"alpha": "dirop_alpha", "beta": "dirop_beta"}
+
+
+_1D = AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES, options=_1D_OPTIONS)
+_1D_DIROP = AlgorithmSpec(
+    "1d-dirop",
+    False,
+    DirOpt1D,
+    ENGINE_CAPABILITIES,
+    prepare=_prepare_1d_dirop,
+    options={**_1D_OPTIONS, **_DIROP_OPTIONS},
+)
+_2D = AlgorithmSpec(
+    "2d", False, SpMSV2D, ENGINE_CAPABILITIES, prepare=_prepare_2d, options=_2D_OPTIONS
+)
+_2D_DIROP = AlgorithmSpec(
+    "2d-dirop",
+    False,
+    DirOpt2D,
+    ENGINE_CAPABILITIES,
+    prepare=_prepare_2d_dirop,
+    options={**_2D_OPTIONS, **_DIROP_OPTIONS},
+)
+
 #: Algorithm registry: name -> spec.  Adding an algorithm is one entry
 #: here plus one AlgorithmStep plugin class (docs/architecture.md has
-#: the how-to); the driver below contains no per-name branches beyond
-#: the family's step-constructor arguments.
+#: the how-to); the driver below contains no per-name branches.
 ALGORITHMS: dict[str, AlgorithmSpec] = {
-    "serial": AlgorithmSpec("serial", False),
-    "1d": AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES),
-    "1d-hybrid": AlgorithmSpec("1d", True, TopDown1D, ENGINE_CAPABILITIES),
-    "1d-dirop": AlgorithmSpec("1d-dirop", False, DirOpt1D, ENGINE_CAPABILITIES),
-    "1d-dirop-hybrid": AlgorithmSpec(
-        "1d-dirop", True, DirOpt1D, ENGINE_CAPABILITIES
+    "serial": AlgorithmSpec("serial", False, prepare=None),
+    "1d": _1D,
+    "1d-hybrid": dataclasses.replace(_1D, hybrid=True),
+    "1d-dirop": _1D_DIROP,
+    "1d-dirop-hybrid": dataclasses.replace(_1D_DIROP, hybrid=True),
+    "2d": _2D,
+    "2d-hybrid": dataclasses.replace(_2D, hybrid=True),
+    "2d-dirop": _2D_DIROP,
+    "2d-dirop-hybrid": dataclasses.replace(_2D_DIROP, hybrid=True),
+    "pbgl": AlgorithmSpec("pbgl", False, body=_baseline_body(bfs_pbgl_like)),
+    "graph500-ref": AlgorithmSpec(
+        "graph500-ref", False, body=_baseline_body(bfs_graph500_ref)
     ),
-    "2d": AlgorithmSpec("2d", False, SpMSV2D, ENGINE_CAPABILITIES),
-    "2d-hybrid": AlgorithmSpec("2d", True, SpMSV2D, ENGINE_CAPABILITIES),
-    "2d-dirop": AlgorithmSpec("2d-dirop", False, DirOpt2D, ENGINE_CAPABILITIES),
-    "2d-dirop-hybrid": AlgorithmSpec(
-        "2d-dirop", True, DirOpt2D, ENGINE_CAPABILITIES
-    ),
-    "pbgl": AlgorithmSpec("pbgl", False),
-    "graph500-ref": AlgorithmSpec("graph500-ref", False),
     # Batched query families (repro.query.run_query).  cc and sssp-delta
     # carry batch state the base checkpoint does not cover, so they do
     # not declare "faults"; msbfs-1d snapshots its full lane words.
     "msbfs-1d": AlgorithmSpec(
-        "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, kind="msbfs"
+        "msbfs-1d",
+        False,
+        MSBFS1D,
+        ENGINE_CAPABILITIES,
+        kind="msbfs",
+        options={"dedup_sends": "dedup_sends", "codec": "codec"},
     ),
     "cc": AlgorithmSpec(
         "cc",
@@ -114,6 +231,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         ConnectedComponents1D,
         frozenset({"wire", "tracer", "trace-profile"}),
         kind="cc",
+        options={"codec": "codec"},
     ),
     "sssp-delta": AlgorithmSpec(
         "sssp-delta",
@@ -121,6 +239,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         DeltaSSSP1D,
         frozenset({"wire", "tracer", "trace-profile"}),
         kind="sssp",
+        options={"codec": "codec"},
     ),
     # landmark wraps an internal msbfs-1d run; it is an offline index
     # build, so the fault battery covers the underlying msbfs-1d instead.
@@ -130,6 +249,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         None,
         frozenset({"wire", "tracer", "trace-profile"}),
         kind="landmark",
+        prepare=None,
     ),
 }
 
@@ -338,13 +458,113 @@ class ResolvedRun:
     threads: int
 
 
+def _freeze(obj) -> None:
+    """Make every numpy array reachable from ``obj`` read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _freeze(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _freeze(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _freeze(getattr(obj, f.name))
+
+
+def prepare(graph: Graph, resolved: ResolvedRun) -> Prepared | None:
+    """The run's source-independent state, built once per graph and configuration.
+
+    Calls the spec's ``prepare`` hook the first time and keeps the frozen
+    result on ``graph`` (:meth:`Graph.prepared`), keyed on everything it
+    depends on: family, rank count/grid shape, vector distribution and
+    threads.  The graph holds one entry, so switching configuration
+    rebuilds.  ``None`` for families that launch no SPMD run of their own.
+    """
+    spec, config = resolved.spec, resolved.config
+    if spec.prepare is None:
+        return None
+    key = (
+        spec.family,
+        config.nprocs,
+        config.grid_shape,
+        config.vector_dist,
+        resolved.threads,
+    )
+
+    def build() -> Prepared:
+        prepared = spec.prepare(graph, resolved)
+        _freeze(prepared)
+        return prepared
+
+    return graph.prepared(key, build)
+
+
+def launch(graph: Graph, resolved: ResolvedRun, source_args: tuple = (), **run_kwargs):
+    """Run one SPMD traversal of ``graph`` per ``resolved``: the one launcher.
+
+    Step arguments are the prepared graph-side ones followed by
+    ``source_args``; step keywords are the spec's ``options`` read off the
+    config, the prepared keywords and ``run_kwargs``.  Returns
+    ``(nranks, SpmdResult, fault_meta | None)``.
+    """
+    spec, config = resolved.spec, resolved.config
+    machine, threads = resolved.machine, resolved.threads
+    prepared = prepare(graph, resolved)
+    step_kwargs = {kw: getattr(config, name) for kw, name in spec.options.items()}
+    step_kwargs.update(prepared.kwargs, **run_kwargs)
+    cost_model = (
+        NetworkCostModel(machine, threads=threads, total_ranks=prepared.nranks)
+        if machine is not None
+        else None
+    )
+    engine_kwargs = dict(
+        machine=machine,
+        threads=threads,
+        trace=config.trace,
+        tracer=config.tracer,
+        metrics=config.metrics,
+    )
+    spmd, fault_meta = _run_resilient(
+        prepared.nranks,
+        spec.body,
+        (spec.step, prepared.args + tuple(source_args), step_kwargs),
+        engine_kwargs,
+        cost_model,
+        config.faults,
+        config.checkpoint_every,
+        config.max_retries,
+        runtime=config.runtime,
+        timeout=config.spmd_timeout,
+    )
+    return prepared.nranks, spmd, fault_meta
+
+
+def stitch(graph: Graph, spec: AlgorithmSpec, spmd, columns: int | None = None):
+    """Reassemble per-rank ``levels``/``parents`` into full internal arrays.
+
+    ``columns`` gives ``(n, columns)`` lane arrays for the batched
+    queries.  Returns ``(levels, parents, nlevels)``.
+    """
+    lo_key, hi_key = spec.step.result_keys if spec.step else ("lo", "hi")
+    shape = (graph.n,) if columns is None else (graph.n, columns)
+    levels = np.empty(shape, dtype=np.int64)
+    parents = np.empty(shape, dtype=np.int64)
+    for rank_out in spmd.returns:
+        levels[rank_out[lo_key] : rank_out[hi_key]] = rank_out["levels"]
+        parents[rank_out[lo_key] : rank_out[hi_key]] = rank_out["parents"]
+    nlevels = max(r["nlevels"] for r in spmd.returns)
+    return levels, parents, nlevels
+
+
 def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:
     """Run one BFS traversal of ``graph`` from ``source`` per ``config``.
 
-    The typed core of the driver: ``config`` is validated once, the
-    algorithm's step plugin comes from the registry, and the SPMD launch
-    plus result stitching below is the same code path for every engine
-    family.  :func:`run_bfs` is the keyword-API shim over this.
+    The typed core of the driver: ``config`` is validated once, and every
+    family but ``serial`` goes through :func:`launch` — the cached
+    :func:`prepare`, the SPMD launch of the spec's rank body — and
+    :func:`stitch`.  :func:`run_bfs` is the keyword-API shim over this.
     """
     if config.spec.kind != "bfs":
         raise ValueError(
@@ -355,123 +575,15 @@ def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:
         raise ValueError(f"source {source} out of range [0, {graph.n})")
     resolved = config.resolve()
     spec, machine, threads = resolved.spec, resolved.machine, resolved.threads
-    nprocs = config.nprocs
     src_internal = int(np.asarray(graph.to_internal(source)))
-    fault_meta = None
 
-    if spec.family == "serial":
+    if spec.prepare is None:  # serial: the reference, outside SPMD
         levels_int, parents_int = bfs_serial(graph.csr, src_internal)
         nlevels = int(levels_int.max()) if levels_int.max() >= 0 else 0
-        stats = None
-        nranks = 1
-        spmd = None
+        nranks, spmd, stats, fault_meta = 1, None, None, None
     else:
-        cost_model = (
-            NetworkCostModel(machine, threads=threads, total_ranks=nprocs)
-            if machine is not None
-            else None
-        )
-        engine_kwargs = dict(
-            machine=machine,
-            threads=threads,
-            trace=config.trace,
-            tracer=config.tracer,
-            metrics=config.metrics,
-        )
-        if spec.family in ("1d", "1d-dirop", "pbgl", "graph500-ref"):
-            nranks = nprocs
-            if spec.family == "1d":
-                step_args = (graph.csr, src_internal)
-                step_kwargs = dict(
-                    dedup_sends=config.dedup_sends,
-                    codec=config.codec,
-                    sieve=config.sieve,
-                )
-            elif spec.family == "1d-dirop":
-                step_args = (graph.csr, src_internal)
-                step_kwargs = dict(
-                    dedup_sends=config.dedup_sends,
-                    codec=config.codec,
-                    sieve=config.sieve,
-                    alpha=config.dirop_alpha,
-                    beta=config.dirop_beta,
-                    symmetric=not graph.directed,
-                )
-            elif spec.family == "pbgl":
-                from repro.baselines.pbgl_like import bfs_pbgl_like
-
-                spmd = run_spmd(
-                    nranks,
-                    bfs_pbgl_like,
-                    graph.csr,
-                    src_internal,
-                    machine=machine,
-                    cost_model=cost_model,
-                    runtime=config.runtime,
-                    timeout=config.spmd_timeout,
-                )
-            else:
-                from repro.baselines.graph500_ref import bfs_graph500_ref
-
-                spmd = run_spmd(
-                    nranks,
-                    bfs_graph500_ref,
-                    graph.csr,
-                    src_internal,
-                    machine=machine,
-                    cost_model=cost_model,
-                    runtime=config.runtime,
-                    timeout=config.spmd_timeout,
-                )
-        else:  # 2d family
-            if config.grid_shape is not None:
-                pr, pc = config.grid_shape
-            else:
-                pr = pc = math.isqrt(nprocs)
-            if pr < 1 or pc < 1:
-                raise ValueError(f"grid must be positive, got {pr}x{pc}")
-            nranks = pr * pc
-            decomp = Decomp2D(
-                graph.n, pr, pc, diagonal_vectors=(config.vector_dist == "1d")
-            )
-            blocks = build_2d_blocks(graph.csr, decomp, threads=threads)
-            if cost_model is not None:
-                cost_model = NetworkCostModel(
-                    machine, threads=threads, total_ranks=nranks
-                )
-            step_args = (blocks, decomp, src_internal)
-            step_kwargs = dict(
-                kernel=config.kernel,
-                modeled_cores=config.modeled_cores,
-                codec=config.codec,
-                sieve=config.sieve,
-            )
-            if spec.family == "2d-dirop":
-                step_kwargs.update(
-                    alpha=config.dirop_alpha,
-                    beta=config.dirop_beta,
-                    degrees=graph.csr.degrees(),
-                )
-        if spec.step is not None:
-            spmd, fault_meta = _run_resilient(
-                nranks,
-                traversal_body,
-                (spec.step, step_args, step_kwargs),
-                engine_kwargs,
-                cost_model,
-                config.faults,
-                config.checkpoint_every,
-                config.max_retries,
-                runtime=config.runtime,
-                timeout=config.spmd_timeout,
-            )
-        lo_key, hi_key = spec.step.result_keys if spec.step else ("lo", "hi")
-        levels_int = np.empty(graph.n, dtype=np.int64)
-        parents_int = np.empty(graph.n, dtype=np.int64)
-        for rank_out in spmd.returns:
-            levels_int[rank_out[lo_key] : rank_out[hi_key]] = rank_out["levels"]
-            parents_int[rank_out[lo_key] : rank_out[hi_key]] = rank_out["parents"]
-        nlevels = max(r["nlevels"] for r in spmd.returns)
+        nranks, spmd, fault_meta = launch(graph, resolved, (src_internal,))
+        levels_int, parents_int, nlevels = stitch(graph, spec, spmd)
         stats = spmd.stats
 
     if config.validate:

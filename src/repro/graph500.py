@@ -3,7 +3,8 @@
 Implements the official two-kernel flow the paper's experiments follow:
 
 * **Kernel 1** — construct the graph from the generated edge list
-  (symmetrize, dedup, random vertex shuffle);
+  (symmetrize, dedup, random vertex shuffle) and distribute it for the
+  chosen algorithm (e.g. the 2D blocks), once for every search;
 * **Kernel 2** — run BFS from ``nbfs`` random search keys sampled among
   non-isolated vertices, validating every traversal against the
   specification rules;
@@ -27,11 +28,11 @@ Example::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.runner import BFSResult, run_bfs
+from repro.core.runner import BFSResult, RunConfig, prepare, run
 from repro.graphs.graph import Graph
 from repro.graphs.rmat import rmat_edges
 from repro.model.machine import get_machine
@@ -149,7 +150,15 @@ def run_graph500(
             "run_graph500 reports TEPS and therefore needs a machine model "
             "(e.g. machine='hopper'); untimed runs have no traversal time"
         )
-    # Kernel 1: generation is *not* timed (spec), construction is.
+    config = RunConfig(
+        algorithm=algorithm,
+        nprocs=nprocs,
+        machine=machine,
+        validate=validate,
+        **bfs_kwargs,
+    )
+    # Kernel 1: generation is *not* timed (spec); construction and the
+    # distribution every search reuses are.
     src, dst = rmat_edges(scale, edgefactor, seed=seed)
     t0 = time.perf_counter()
     graph = Graph.from_edges(
@@ -161,22 +170,22 @@ def run_graph500(
         seed=seed,
         name=f"graph500-s{scale}-ef{edgefactor:g}",
     )
+    prepare(graph, config.resolve())
     construction = time.perf_counter() - t0
 
     keys = sample_search_keys(graph, nbfs, seed=seed)
     searches: list[BFSResult] = []
     times, rates = [], []
     for i, key in enumerate(keys):
-        result = run_bfs(
+        first = i == 0
+        result = run(
             graph,
             int(key),
-            algorithm,
-            nprocs=nprocs,
-            machine=machine,
-            validate=validate,
-            tracer=tracer if i == 0 else None,
-            metrics=metrics if i == 0 else None,
-            **bfs_kwargs,
+            replace(
+                config,
+                tracer=tracer if first else None,
+                metrics=metrics if first else None,
+            ),
         )
         searches.append(result)
         times.append(result.time_total)

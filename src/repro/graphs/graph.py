@@ -46,6 +46,10 @@ class Graph:
     name: str = "graph"
     directed: bool = False
     meta: dict = field(default_factory=dict)
+    # One ``(key, state)`` slot for :meth:`prepared`; dies with the graph.
+    _prepared: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -154,6 +158,21 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return self.csr.degrees()
+
+    def prepared(self, key, build):
+        """The state ``build()`` returns for ``key``, built once and kept.
+
+        The graph holds one entry: a different ``key`` drops the old state
+        *before* building the new one, so a sweep over configurations never
+        holds two at once.  :func:`repro.core.runner.prepare` keeps each
+        run's source-independent distributed state (the 2D blocks) here.
+        """
+        entry = self._prepared
+        if entry is None or entry[0] != key:
+            object.__setattr__(self, "_prepared", None)
+            entry = (key, build())
+            object.__setattr__(self, "_prepared", entry)
+        return entry[1]
 
     # -- label translation ----------------------------------------------------
     def to_internal(self, vertices: np.ndarray | int) -> np.ndarray | int:

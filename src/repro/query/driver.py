@@ -4,10 +4,11 @@
 :func:`repro.core.run_bfs` is to the BFS families: it validates a
 :class:`~repro.core.runner.RunConfig`, launches the registered
 :class:`~repro.core.engine.AlgorithmStep` plugin through the same
-resilient SPMD driver (``_run_resilient`` + ``traversal_body`` — crash
-restart, tracing and checkpointing all included), stitches the per-rank
-outputs, and wraps them in a :class:`QueryResult` whose shape
-``run_report``/``perf-diff`` understand.
+launcher as every BFS family (:func:`~repro.core.runner.launch`: the
+cached prepared graph, then the resilient SPMD run with crash restart,
+tracing and checkpointing), stitches the per-rank outputs, and wraps
+them in a :class:`QueryResult` whose shape ``run_report``/``perf-diff``
+understand.
 
 Kind dispatch (``AlgorithmSpec.kind``):
 
@@ -155,49 +156,6 @@ def _require_sources(graph: Graph, config) -> np.ndarray:
     return sources
 
 
-def _launch(graph, config, resolved, step_args, step_kwargs):
-    """One resilient SPMD engine run; returns (spmd, fault_meta, extras)."""
-    from repro.core.runner import NetworkCostModel, _run_resilient, traversal_body
-
-    machine, threads = resolved.machine, resolved.threads
-    cost_model = (
-        NetworkCostModel(machine, threads=threads, total_ranks=config.nprocs)
-        if machine is not None
-        else None
-    )
-    engine_kwargs = dict(
-        machine=machine,
-        threads=threads,
-        trace=config.trace,
-        tracer=config.tracer,
-        metrics=config.metrics,
-    )
-    return _run_resilient(
-        config.nprocs,
-        traversal_body,
-        (resolved.spec.step, step_args, step_kwargs),
-        engine_kwargs,
-        cost_model,
-        config.faults,
-        config.checkpoint_every,
-        config.max_retries,
-        runtime=config.runtime,
-        timeout=config.spmd_timeout,
-    )
-
-
-def _stitch(graph, spmd, columns: int | None):
-    """Reassemble per-rank levels/parents into full internal arrays."""
-    shape = (graph.n,) if columns is None else (graph.n, columns)
-    levels = np.empty(shape, dtype=np.int64)
-    parents = np.empty(shape, dtype=np.int64)
-    for rank_out in spmd.returns:
-        levels[rank_out["lo"] : rank_out["hi"]] = rank_out["levels"]
-        parents[rank_out["lo"] : rank_out["hi"]] = rank_out["parents"]
-    nlevels = max(r["nlevels"] for r in spmd.returns)
-    return levels, parents, nlevels
-
-
 def _base_meta(graph, config, resolved, fault_meta, level_profile) -> dict:
     return {
         "graph": graph.name,
@@ -223,6 +181,7 @@ def _level_profile(config, resolved, spmd):
 
 
 def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
+    from repro.core import runner
     from repro.core.validate import count_traversed_edges
 
     sources = _require_sources(graph, config)
@@ -230,11 +189,10 @@ def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
         [int(np.asarray(graph.to_internal(int(s)))) for s in sources],
         dtype=np.int64,
     )
-    step_kwargs = dict(dedup_sends=config.dedup_sends, codec=config.codec)
-    spmd, fault_meta = _launch(
-        graph, config, resolved, (graph.csr, srcs_internal), step_kwargs
+    _, spmd, fault_meta = runner.launch(graph, resolved, (srcs_internal,))
+    levels_int, parents_int, nlevels = runner.stitch(
+        graph, resolved.spec, spmd, sources.size
     )
-    levels_int, parents_int, nlevels = _stitch(graph, spmd, sources.size)
 
     if config.validate:
         ref_levels, ref_parents = msbfs_serial(graph.csr, srcs_internal)
@@ -281,6 +239,7 @@ def _canonical_components(n: int, comp: np.ndarray) -> np.ndarray:
 
 
 def _run_cc(graph: Graph, config, resolved) -> QueryResult:
+    from repro.core import runner
     from repro.core.validate import count_traversed_edges
 
     if graph.directed:
@@ -290,9 +249,8 @@ def _run_cc(graph: Graph, config, resolved) -> QueryResult:
             "cc seeds itself from the unlabeled vertices; sources apply to "
             "msbfs-1d/sssp-delta"
         )
-    step_kwargs = dict(codec=config.codec)
-    spmd, fault_meta = _launch(graph, config, resolved, (graph.csr,), step_kwargs)
-    levels_int, comp_int, nlevels = _stitch(graph, spmd, None)
+    _, spmd, fault_meta = runner.launch(graph, resolved)
+    levels_int, comp_int, nlevels = runner.stitch(graph, resolved.spec, spmd)
 
     if config.validate and not np.array_equal(comp_int, cc_serial(graph.csr)):
         raise AssertionError("components diverge from the serial sweep")
@@ -324,6 +282,7 @@ def _run_cc(graph: Graph, config, resolved) -> QueryResult:
 
 
 def _run_sssp(graph: Graph, config, resolved) -> QueryResult:
+    from repro.core import runner
     from repro.core.validate import count_traversed_edges
 
     sources = _require_sources(graph, config)
@@ -345,11 +304,10 @@ def _run_sssp(graph: Graph, config, resolved) -> QueryResult:
     lane_profiles = []
     for b, s in enumerate(sources):
         src_internal = int(np.asarray(graph.to_internal(int(s))))
-        step_kwargs = dict(weights=weights, delta=delta, codec=config.codec)
-        spmd, fault_meta = _launch(
-            graph, config, resolved, (graph.csr, src_internal), step_kwargs
+        _, spmd, fault_meta = runner.launch(
+            graph, resolved, (src_internal,), weights=weights, delta=delta
         )
-        dist, parents, levels_run = _stitch(graph, spmd, None)
+        dist, parents, levels_run = runner.stitch(graph, resolved.spec, spmd)
         dist = np.where(dist >= INF, np.int64(-1), dist)
         if config.validate:
             ref_dist, ref_parents = sssp_serial(graph.csr, src_internal, weights)

@@ -31,6 +31,21 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def dense_spmsv(nrows, ncols, rows, cols, frontier_idx, frontier_val):
+    """Brute-force (select, max) SpMSV oracle on a dense boolean matrix.
+
+    Output row ``r`` takes the largest payload among the frontier columns
+    ``c`` with ``A[r, c]`` set; payloads must be >= 0.
+    """
+    a = np.zeros((nrows, ncols), dtype=bool)
+    a[rows, cols] = True
+    x = np.full(ncols, -1, dtype=np.int64)
+    x[frontier_idx] = frontier_val
+    best = np.where(a, x, -1).max(axis=1)
+    out = np.flatnonzero(best >= 0)
+    return out, best[out]
+
+
 def make_path_graph(n: int) -> Graph:
     """Deterministic path 0-1-2-...-(n-1): known levels for exact checks."""
     src = np.arange(n - 1, dtype=np.int64)

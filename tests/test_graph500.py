@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,36 @@ class TestRunGraph500:
         # Canonical key-value layout: every line has exactly one colon.
         for line in report.splitlines():
             assert line.count(":") == 1
+
+    def test_kernel_1_builds_the_distribution_once(self, monkeypatch):
+        """The 2D blocks are built once, inside the timed construction,
+        before the first search; every search reuses them."""
+        from repro import graph500
+        from repro.core import runner
+
+        events, build_s = [], []
+
+        def record(module, name, event, timed=False):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(event)
+                t0 = time.perf_counter()
+                out = original(*args, **kwargs)
+                if timed:
+                    build_s.append(time.perf_counter() - t0)
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(runner, "build_2d_blocks", "build", timed=True)
+        record(runner, "run_spmd", "spmd")
+        record(graph500, "run", "search")
+        result = run_graph500(
+            scale=10, nprocs=4, algorithm="2d", machine="hopper", nbfs=4, seed=3
+        )
+        assert events == ["build"] + ["search", "spmd"] * 4
+        assert result.construction_seconds >= build_s[0]
 
     def test_invalid_nbfs(self):
         with pytest.raises(ValueError, match="nbfs"):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.graphs.permutation import invert_permutation, random_permutation
 from repro.mpsim import collectives as coll
-from repro.sparse import DCSC, CSRMatrix, SparseVector, spmsv_heap, spmsv_spa
+from repro.sparse import DCSC, spmsv_heap, spmsv_spa
+
+from tests.conftest import dense_spmsv
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,17 +92,16 @@ def test_dcsc_round_trip(matrix):
 @settings(max_examples=60, deadline=None)
 @given(coo_matrices(), st.integers(0, 2**16))
 def test_spmsv_kernels_equal_reference(matrix, seed):
-    """SPA kernel == heap kernel == brute-force reference, always."""
+    """SPA kernel == heap kernel == dense brute-force reference, always."""
     nrows, ncols, rows, cols = matrix
     d = DCSC.from_coo(nrows, ncols, rows, cols)
-    m = CSRMatrix.from_coo(nrows, ncols, rows, cols)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, ncols + 1))
     fi = np.unique(rng.integers(0, ncols, size=k)) if k else np.empty(0, np.int64)
     fv = fi + 1
     i_spa, v_spa, _ = spmsv_spa(d, fi, fv)
     i_heap, v_heap, _ = spmsv_heap(d, fi, fv)
-    i_ref, v_ref = m.spmsv_reference(fi, fv)
+    i_ref, v_ref = dense_spmsv(nrows, ncols, rows, cols, fi, fv)
     assert np.array_equal(i_spa, i_heap)
     assert np.array_equal(v_spa, v_heap)
     assert np.array_equal(i_spa, i_ref)
@@ -115,21 +116,3 @@ def test_dcsc_rowsplit_partitions_nnz(matrix, pieces):
     parts = d.split_rowwise(pieces)
     assert sum(p.nnz for p in parts) == d.nnz
     assert sum(p.nrows for p in parts) == d.nrows
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2**20)), max_size=60),
-)
-def test_sparse_vector_from_pairs_idempotent(pairs):
-    idx = np.array([p[0] for p in pairs], np.int64)
-    val = np.array([p[1] for p in pairs], np.int64)
-    v = SparseVector.from_pairs(31, idx, val)
-    # Indices strictly increasing, values are the per-index maxima.
-    assert np.all(np.diff(v.indices) > 0)
-    for i, x in zip(v.indices, v.values):
-        assert x == val[idx == i].max()
-    # Re-feeding the result is a fixed point.
-    v2 = SparseVector.from_pairs(31, v.indices, v.values)
-    assert np.array_equal(v.indices, v2.indices)
-    assert np.array_equal(v.values, v2.values)

@@ -17,7 +17,10 @@ declared capability:
   (numpy vs pure-python kernels, ``tests/test_property_kernels.py``);
 * every algorithm appears in the runtime-backend equivalence sweep
   (sequential vs processes execution runtimes,
-  ``tests/test_property_runtimes.py``).
+  ``tests/test_property_runtimes.py``);
+* every single-source BFS family appears in the repeated-search harness
+  (searches sharing one prepared graph vs fresh graphs,
+  ``tests/test_property_prepared.py``).
 
 Because the harness lists are import-time snapshots, registering an
 algorithm without extending the harness predicates (or, for golden,
@@ -37,6 +40,7 @@ from tests import (
     test_property_bfs,
     test_property_faults,
     test_property_kernels,
+    test_property_prepared,
     test_property_runtimes,
     test_trace_invariants,
 )
@@ -80,6 +84,9 @@ def required_coverage(registry: dict[str, AlgorithmSpec]) -> dict[str, set]:
         },
         "kernel-backend": set(registry),
         "runtime-backend": set(registry),
+        "repeated-search": {
+            name for name, spec in registry.items() if spec.kind == "bfs"
+        },
     }
 
 
@@ -94,6 +101,7 @@ def harness_coverage() -> dict[str, set]:
         "golden": set(golden_capture.CONFIGS),
         "kernel-backend": set(test_property_kernels.KERNEL_BACKEND_ALGORITHMS),
         "runtime-backend": set(test_property_runtimes.RUNTIME_BACKEND_ALGORITHMS),
+        "repeated-search": set(test_property_prepared.PREPARED_ALGORITHMS),
     }
 
 

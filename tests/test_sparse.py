@@ -1,4 +1,4 @@
-"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels, vectors."""
+"""Tests for the sparse substrate: DCSC, SPA and the SpMSV kernels."""
 
 from __future__ import annotations
 
@@ -9,13 +9,13 @@ from repro.sparse import (
     DCSC,
     SELECT_MAX,
     SPA,
-    CSRMatrix,
-    SparseVector,
     choose_spmsv_kernel,
     spmsv,
     spmsv_heap,
     spmsv_spa,
 )
+
+from tests.conftest import dense_spmsv
 
 
 def random_coo(nrows, ncols, nnz, seed=0):
@@ -137,13 +137,12 @@ class TestSpMSVKernels:
         nnz = int(rng.integers(0, 4 * max(nr, nc)))
         rows, cols = random_coo(nr, nc, nnz, seed=seed + 100)
         d = DCSC.from_coo(nr, nc, rows, cols)
-        m = CSRMatrix.from_coo(nr, nc, rows, cols)
         k = int(rng.integers(0, nc))
         fi = np.unique(rng.integers(0, nc, size=k)) if k else np.empty(0, np.int64)
         fv = fi * 3 + 1
         i_spa, v_spa, w_spa = spmsv_spa(d, fi, fv)
         i_heap, v_heap, w_heap = spmsv_heap(d, fi, fv)
-        i_ref, v_ref = m.spmsv_reference(fi, fv)
+        i_ref, v_ref = dense_spmsv(nr, nc, rows, cols, fi, fv)
         assert np.array_equal(i_spa, i_heap) and np.array_equal(v_spa, v_heap)
         assert np.array_equal(i_spa, i_ref) and np.array_equal(v_spa, v_ref)
         assert w_spa.candidates == w_heap.candidates
@@ -208,65 +207,6 @@ class TestSpMSVKernels:
         assert w.kernel == "heap"
         with pytest.raises(ValueError, match="unknown SpMSV kernel"):
             spmsv(d, fi, fv, kernel="bogus")
-
-
-class TestSparseVector:
-    def test_from_pairs_max_dedup(self):
-        v = SparseVector.from_pairs(10, [4, 2, 4], [1, 9, 8])
-        assert np.array_equal(v.indices, [2, 4])
-        assert np.array_equal(v.values, [9, 8])
-
-    def test_dense_round_trip(self):
-        dense = np.array([-1, 5, -1, 7], dtype=np.int64)
-        v = SparseVector.from_dense(dense)
-        assert np.array_equal(v.to_dense(), dense)
-        assert v.nnz == 2
-
-    def test_restrict_and_rebase(self):
-        v = SparseVector(10, np.array([1, 4, 8]), np.array([10, 40, 80]))
-        r = v.restrict(2, 9, rebase=True)
-        assert r.length == 7
-        assert np.array_equal(r.indices, [2, 6])
-        assert np.array_equal(r.values, [40, 80])
-
-    def test_mask_out(self):
-        v = SparseVector(5, np.array([0, 2, 4]), np.array([1, 2, 3]))
-        occupied = np.array([-1, -1, 9, -1, 9], dtype=np.int64)
-        masked = v.mask_out(occupied)
-        assert np.array_equal(masked.indices, [0])
-
-    def test_unsorted_construction_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector(5, np.array([3, 1]), np.array([1, 1]))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseVector(3, np.array([3]), np.array([1]))
-
-
-class TestCSRMatrix:
-    def test_transpose_involution(self):
-        rows, cols = random_coo(12, 17, 60, seed=4)
-        m = CSRMatrix.from_coo(12, 17, rows, cols)
-        mt2 = m.transpose().transpose()
-        assert np.array_equal(m.indptr, mt2.indptr)
-        assert np.array_equal(m.indices, mt2.indices)
-
-    def test_spmv_bool(self):
-        m = CSRMatrix.from_coo(3, 3, [0, 1, 2], [1, 2, 0])
-        x = np.array([False, True, False])
-        assert np.array_equal(m.spmv_bool(x), [True, False, False])
-
-    def test_spmv_bool_empty_rows(self):
-        m = CSRMatrix.from_coo(4, 4, [0], [0])
-        y = m.spmv_bool(np.array([True, True, True, True]))
-        assert np.array_equal(y, [True, False, False, False])
-
-    def test_to_dcsc_consistent(self):
-        rows, cols = random_coo(10, 10, 40, seed=5)
-        m = CSRMatrix.from_coo(10, 10, rows, cols)
-        d = m.to_dcsc()
-        assert d.nnz == m.nnz
 
     def test_semiring_reduce_sorted_runs(self):
         keys = np.array([1, 1, 3, 3, 3, 7])
