@@ -4,10 +4,10 @@
 ``trace_profiling.py`` dissects one run's *timeline*; this example shows
 the rest of the telemetry layer:
 
-* a ``MetricsRegistry`` of labeled counters/gauges/histograms recorded
-  through the engine, the comm channel and the wire codecs — and the
-  reconciliation contract: counter totals equal the stats ledger's
-  numbers exactly, not approximately,
+* a ``MetricsRegistry`` of labeled counters/gauges/histograms, derived
+  after the run from the stats ledger the engine, the comm channel and
+  the fault layer write — so counter totals equal the ledger's numbers
+  exactly, by construction,
 * the OpenMetrics text exposition (what a Prometheus scrape would see),
 * the JSONL event log and collapsed-stack flamegraph exports, and
 * a cross-run performance trajectory: several run reports become

@@ -10,9 +10,11 @@ through it.  The channel
 * encodes each per-destination buffer with the configured
   :class:`~repro.comm.codecs.Codec` (so the engine's alpha-beta model
   prices the *encoded* size — compression is modeled speedup),
-* records both ``payload_words`` (logical, pre-codec) and ``wire_words``
-  (post-codec) per collective kind and per BFS level on the rank's
-  :class:`~repro.mpsim.stats.RankStats`,
+* records one :class:`~repro.mpsim.stats.Exchange` per committed
+  attempt on the rank's :class:`~repro.mpsim.stats.RankStats` ledger —
+  ``payload_words`` (logical, pre-codec), ``wire_words`` (post-codec),
+  kind, level, codec and sieve drops, the one record every comm volume
+  and comm metric is derived from,
 * charges the encode/decode compute through the site's
   :class:`~repro.model.costmodel.Charger`, and
 * when a :class:`~repro.obs.tracer.RankTracer` is installed, wraps the
@@ -40,7 +42,7 @@ from repro.faults.injection import (
     UndetectedCorruptionError,
     corrupt_pieces,
 )
-from repro.obs.metrics import NULL_RANK_METRICS
+from repro.mpsim.stats import Exchange
 from repro.obs.tracer import NULL_RANK_TRACER
 
 #: Bytes per boolean in the sieve's ``seen`` array; its random-access
@@ -62,13 +64,15 @@ class ExchangeInfo:
 
     ``payload_words``/``wire_words`` follow the stats convention of the
     underlying collective: self-addressed all-to-all buckets are excluded,
-    gather contributions are not.
+    gather contributions are not.  ``sieved`` says whether the candidates
+    went through the sender-side sieve (``dropped`` counts its drops).
     """
 
     pairs: int
     payload_words: float
     wire_words: float
     dropped: int
+    sieved: bool = False
 
 
 class CommChannel:
@@ -89,7 +93,6 @@ class CommChannel:
         sieve: Sieve | None = None,
         charger=None,
         tracer=None,
-        metrics=None,
         faults=None,
     ):
         if len(ranges) != comm.size:
@@ -104,10 +107,6 @@ class CommChannel:
         #: Per-rank span recorder (a :class:`repro.obs.RankTracer`); the
         #: shared no-op handle when the run is untraced.
         self.obs = tracer if tracer is not None else NULL_RANK_TRACER
-        #: Per-rank metrics handle (a :class:`repro.obs.RankMetrics`);
-        #: the shared no-op handle when the run is unmetered.  Passive:
-        #: counters never touch the clocks or the wire.
-        self.metrics = metrics if metrics is not None else NULL_RANK_METRICS
         #: Per-rank fault handle (a :class:`repro.faults.RankFaults`); the
         #: shared no-op handle when no faults are injected.  One poll per
         #: collective on the fault-free path — zero charges, bit parity.
@@ -130,23 +129,6 @@ class CommChannel:
         self.charger.intops(_CODEC_OPS_PER_WORD * nitems)
         self.charger.stream(wire + nitems)
 
-    def _record(self, kind: str, info: ExchangeInfo, level: int | None) -> None:
-        self.comm.stats.record_channel(
-            kind,
-            info.payload_words,
-            info.wire_words,
-            level=level,
-            dropped=float(info.dropped),
-        )
-        # One metrics sample per recorded attempt — the same cadence as
-        # record_channel, so counter totals reconcile exactly against
-        # SimStats.wire_words()/payload_words() even under fault retries.
-        m = self.metrics
-        m.inc("comm_exchanges", 1.0, kind=kind)
-        m.inc("comm_payload_words", info.payload_words, kind=kind)
-        m.inc("comm_wire_words", info.wire_words, kind=kind)
-        m.observe("comm_wire_words_per_exchange", info.wire_words, kind=kind)
-
     def _collect_with_retry(
         self, site, info, level, do_collective, decode_one, corrupt_mode
     ):
@@ -161,15 +143,24 @@ class CommChannel:
         fault lets the collective run, proves on the victim that the
         codec rejects the damaged wire, then drops the attempt on every
         rank.  Fault charges land on ``fault_time``, not compute or MPI.
+        Every committed attempt is recorded; all but the first are
+        flagged as retries.
         """
         attempt = 0
+        committed = False
         while True:
             fault = self.faults.poll(site, level, attempt)
             if fault is not None and fault[1].kind == "timeout":
                 self.faults.absorb(*fault, site, level, attempt)
                 attempt += 1
                 continue
-            self._record(site, info, level)
+            self.comm.stats.exchanges.append(
+                Exchange(
+                    site, level, info.payload_words, info.wire_words, info.pairs,
+                    info.dropped, info.sieved, self.codec.name, retry=committed,
+                )
+            )
+            committed = True
             with self.obs.span(site, level=level, wire_words=info.wire_words):
                 pieces = do_collective()
             if fault is None:
@@ -226,12 +217,9 @@ class CommChannel:
                 if self.charger is not None and dropped:
                     self.charger.count(sieve_dropped=float(dropped))
                 self.sieve.mark(targets)
-                self.metrics.inc("sieve_candidates", float(before))
-                self.metrics.inc("sieve_dropped", float(dropped))
         else:
             dropped = 0
         with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             buckets, _counts = bucket_by_owner(
                 owners, self.comm.size, targets, parents
             )
@@ -247,7 +235,9 @@ class CommChannel:
                     payload += 2.0 * dst_targets.size
                     wire += float(buf.size)
             self._charge_encode(float(targets.size), 2.0 * targets.size, wire)
-        info = ExchangeInfo(int(targets.size), payload, wire, dropped)
+        info = ExchangeInfo(
+            int(targets.size), payload, wire, dropped, self.sieve is not None
+        )
         return send, info
 
     def exchange_pairs(
@@ -323,7 +313,6 @@ class CommChannel:
         values = np.asarray(values, dtype=np.int64)
         extras = np.asarray(extras, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             buckets, _counts = bucket_by_owner(
                 owners, self.comm.size, targets, values, extras
             )
@@ -422,7 +411,6 @@ class CommChannel:
         frontier = np.asarray(frontier, dtype=np.int64)
         mine = self.ranges[self.comm.rank]
         with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             payload = float(bitmap_words(mine.nbits))
             buf = self.codec.encode_set(frontier, mine, dense=True)
             self._charge_encode(float(frontier.size), payload, float(buf.size))
@@ -468,7 +456,6 @@ class CommChannel:
         vertices = np.asarray(vertices, dtype=np.int64)
         mine = self.ranges[self.comm.rank]
         with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             payload = float(bitmap_words(mine.nbits))
             buf = self.codec.encode_set(vertices, mine, dense=True)
             self._charge_encode(float(vertices.size), payload, float(buf.size))
@@ -509,7 +496,6 @@ class CommChannel:
         vertices = np.asarray(vertices, dtype=np.int64)
         mine = self.ranges[self.comm.rank]
         with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             buf = self.codec.encode_set(vertices, mine, dense=False)
             self._charge_encode(
                 float(vertices.size), float(vertices.size), float(buf.size)

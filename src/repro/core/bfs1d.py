@@ -79,7 +79,6 @@ class TopDown1D:
             sieve=_make_sieve(self.sieve, csr.n),
             charger=engine.charger,
             tracer=engine.obs,
-            metrics=engine.metrics,
             faults=engine.faults,
         )
 
@@ -178,7 +177,6 @@ def bfs_1d(
     dedup_sends: bool = True,
     codec="raw",
     sieve: bool | Sieve = False,
-    trace: bool = False,
     tracer=None,
     faults=None,
     checkpoint=None,
@@ -205,9 +203,6 @@ def bfs_1d(
         ``"delta-varint"``, ``"bitmap"``, ``"auto"`` or a
         :class:`~repro.comm.Codec` instance) and the sender-side
         already-seen filter; see :mod:`repro.comm`.
-    trace:
-        Record a per-level profile (frontier size, candidates, words
-        sent/received) under the ``"trace"`` key of the result.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; when installed, every
         level leaves nested phase spans (``td-scan``/``td-dedup``/
@@ -234,7 +229,6 @@ def bfs_1d(
         step,
         machine=machine,
         threads=threads,
-        trace=trace,
         tracer=tracer,
         faults=faults,
         checkpoint=checkpoint,

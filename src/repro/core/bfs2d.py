@@ -168,16 +168,14 @@ class SpMSV2D:
         ]
         self.row_channel = CommChannel(
             grid.row_comm, row_ranges, codec=self.codec, sieve=self.shared_sieve,
-            charger=engine.charger, tracer=engine.obs,
-            metrics=engine.metrics, faults=engine.faults,
+            charger=engine.charger, tracer=engine.obs, faults=engine.faults,
         )
         col_ranges = [
             VertexRange(self.col_lo, self.col_hi - self.col_lo)
         ] * grid.col_comm.size
         self.col_channel = CommChannel(
             grid.col_comm, col_ranges, codec=self.codec, sieve=self.shared_sieve,
-            charger=engine.charger, tracer=engine.obs,
-            metrics=engine.metrics, faults=engine.faults,
+            charger=engine.charger, tracer=engine.obs, faults=engine.faults,
         )
 
         self.levels = np.full(self.nloc, -1, dtype=np.int64)
@@ -344,7 +342,6 @@ def bfs_2d(
     modeled_cores: int | None = None,
     codec="raw",
     sieve=False,
-    trace: bool = False,
     tracer=None,
     faults=None,
     checkpoint=None,
@@ -357,8 +354,7 @@ def bfs_2d(
     concurrency predicate (defaults to ``comm.size * threads``).
     ``codec``/``sieve`` configure the wire layer of both the expand
     ``Allgatherv`` (along the column) and the fold ``Alltoallv`` (along
-    the row); see :mod:`repro.comm`.  ``trace`` records a per-level
-    profile under the ``"trace"`` key.  ``tracer`` is an optional
+    the row); see :mod:`repro.comm`.  ``tracer`` is an optional
     :class:`~repro.obs.tracer.Tracer` recording each level's
     ``transpose``/``expand``/``spmsv``/``fold-pack``/``fold-exchange``/
     ``update``/``sync`` spans in virtual time.
@@ -381,7 +377,6 @@ def bfs_2d(
         step,
         machine=machine,
         threads=threads,
-        trace=trace,
         tracer=tracer,
         faults=faults,
         checkpoint=checkpoint,

@@ -210,7 +210,6 @@ class DirOpt1D:
             sieve=make_sieve(self.sieve, csr.n),
             charger=engine.charger,
             tracer=engine.obs,
-            metrics=engine.metrics,
             faults=engine.faults,
         )
         self.degrees = csr.indptr[self.lo + 1 : self.hi + 1] - csr.indptr[self.lo : self.hi]
@@ -324,7 +323,6 @@ def bfs_1d_dirop(
     alpha: float | None = None,
     beta: float | None = None,
     symmetric: bool = True,
-    trace: bool = False,
     tracer=None,
     faults=None,
     checkpoint=None,
@@ -352,8 +350,6 @@ def bfs_1d_dirop(
     symmetric:
         Whether the adjacency structure is symmetric; directed inputs
         pin the traversal to top-down (bottom-up needs in-edges).
-    trace:
-        Record a per-level profile including which ``direction`` ran.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` recording nested phase
         spans in virtual time: ``td-*`` phases on top-down levels,
@@ -386,7 +382,6 @@ def bfs_1d_dirop(
         step,
         machine=machine,
         threads=threads,
-        trace=trace,
         tracer=tracer,
         faults=faults,
         checkpoint=checkpoint,

@@ -16,11 +16,14 @@ around the level is shared scaffolding, and this module owns all of it:
 * checkpoint restore and save, including algorithm-declared extra state
   (sieve epoch, direction-optimizing hysteresis) via the
   :meth:`AlgorithmStep.state` / :meth:`AlgorithmStep.restore` protocol;
-* the per-level trace-profile records behind ``run_bfs(..., trace=True)``;
+* one record per level on the rank's stats ledger
+  (:attr:`~repro.mpsim.stats.RankStats.levels`), written on every run:
+  the per-level profile behind ``run_bfs(..., trace=True)`` and the
+  engine metrics are both derived from it after the launch;
 * the level-closing ``sync``/``allreduce`` spans around the termination
   test;
 * result marshaling (vertex range, local levels/parents, level count,
-  crash marker, trace).
+  crash marker).
 
 An algorithm is a plugin: a class implementing :class:`AlgorithmStep`
 whose :meth:`~AlgorithmStep.step` runs one level and reports a
@@ -52,7 +55,6 @@ from repro.faults import (
     save_checkpoint,
 )
 from repro.model.costmodel import Charger
-from repro.obs.metrics import resolve_metrics
 from repro.obs.tracer import resolve_tracer
 
 
@@ -69,9 +71,10 @@ def partition_ranges(part: Partition1D, nranks: int) -> list[VertexRange]:
 class LevelOutcome:
     """What one :meth:`AlgorithmStep.step` reports back to the engine.
 
-    The four counters feed the per-level trace profile (``run_bfs(...,
-    trace=True)``); ``extra`` carries algorithm-specific profile fields
-    (the direction-optimizing plugin records which ``direction`` ran).
+    The engine books the four counters in the level's ledger record (the
+    source of the ``run_bfs(..., trace=True)`` profile and the engine
+    metrics); ``extra`` carries algorithm-specific fields (the
+    direction-optimizing plugin records which ``direction`` ran).
     The new frontier itself is not part of the outcome — the step
     updates its own ``frontier`` attribute, which the engine reads for
     the ``discovered`` count and the next level.
@@ -163,9 +166,7 @@ def traversal_body(
     step_kwargs: dict,
     machine=None,
     threads: int = 1,
-    trace: bool = False,
     tracer=None,
-    metrics=None,
     faults=None,
     checkpoint=None,
     resume_level: int | None = None,
@@ -186,9 +187,7 @@ def traversal_body(
         step,
         machine=machine,
         threads=threads,
-        trace=trace,
         tracer=tracer,
-        metrics=metrics,
         faults=faults,
         checkpoint=checkpoint,
         resume_level=resume_level,
@@ -216,9 +215,7 @@ class TraversalEngine:
         step: AlgorithmStep,
         machine=None,
         threads: int = 1,
-        trace: bool = False,
         tracer=None,
-        metrics=None,
         faults=None,
         checkpoint=None,
         resume_level: int | None = None,
@@ -226,24 +223,17 @@ class TraversalEngine:
         self.comm = comm
         self.step = step
         self.threads = threads
-        self.trace = trace
         self.checkpoint = checkpoint
         self.resume_level = resume_level
         self.charger = Charger(
             comm, machine=machine, threads=threads, **step.charger_kwargs
         )
         self.obs = resolve_tracer(tracer).for_rank(comm)
-        # Passive like the tracer: metrics read outcomes but never touch
-        # the virtual clocks, so a metered run stays bit-identical.
-        self.metrics = resolve_metrics(metrics).for_rank(comm)
-        self.faults = resolve_rank_faults(
-            faults, comm, self.charger.machine, self.obs, self.metrics
-        )
+        self.faults = resolve_rank_faults(faults, comm, self.charger.machine, self.obs)
 
     def run(self) -> dict:
         """Execute the traversal; returns the rank's result dict."""
         comm, step, obs, charger = self.comm, self.step, self.obs, self.charger
-        metrics = self.metrics
         step.setup(self)
 
         level = 1
@@ -256,11 +246,9 @@ class TraversalEngine:
             step.frontier = snap["frontier"].copy()
             term = step.restore(snap)
             level = self.resume_level + 1
-            metrics.inc("checkpoint_restores")
         else:
             term = step.initial_sync()
 
-        level_trace: list[dict] = []
         crashed = None
         while True:
             if term is not None and term == 0:
@@ -279,35 +267,19 @@ class TraversalEngine:
             level_attrs = step.begin_level(level)
             with obs.span("level", **level_attrs):
                 outcome = step.step(level)
-
-                metrics.inc("engine_levels")
-                metrics.inc("engine_candidates", float(outcome.candidates))
-                metrics.inc(
-                    "engine_discovered", float(step.frontier.size), level=level
+                comm.stats.levels.append(
+                    {
+                        **level_attrs,
+                        "level": level,
+                        "frontier": frontier_in,
+                        "candidates": outcome.candidates,
+                        "words_sent": outcome.words_sent,
+                        "wire_words": outcome.wire_words,
+                        "sieve_dropped": outcome.sieve_dropped,
+                        "discovered": int(step.frontier.size),
+                        **outcome.extra,
+                    }
                 )
-                metrics.observe("engine_frontier_size", float(frontier_in))
-                if "lanes" in level_attrs:
-                    metrics.set_gauge(
-                        "query_lanes_active", float(level_attrs["lanes"]), level=level
-                    )
-                if "direction" in level_attrs:
-                    metrics.inc(
-                        "engine_direction_levels", direction=level_attrs["direction"]
-                    )
-
-                if self.trace:
-                    level_trace.append(
-                        {
-                            "level": level,
-                            "frontier": frontier_in,
-                            "candidates": outcome.candidates,
-                            "words_sent": outcome.words_sent,
-                            "wire_words": outcome.wire_words,
-                            "sieve_dropped": outcome.sieve_dropped,
-                            "discovered": int(step.frontier.size),
-                            **outcome.extra,
-                        }
-                    )
 
                 # Global termination test.
                 with obs.span("sync"):
@@ -330,7 +302,6 @@ class TraversalEngine:
                     }
                     state.update(step.state())
                     save_checkpoint(self.checkpoint, comm, charger, obs, level, state)
-                    metrics.inc("checkpoint_saves")
             level += 1
 
         lo_key, hi_key = step.result_keys
@@ -344,6 +315,4 @@ class TraversalEngine:
         }
         if crashed is not None:
             result["crashed"] = crashed
-        if self.trace:
-            result["trace"] = level_trace
         return result

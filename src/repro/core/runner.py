@@ -397,7 +397,7 @@ class RunConfig:
                 f"{self.algorithm} is not instrumented for span tracing; "
                 "tracer applies to the 1d/2d families only"
             )
-        # Metrics ride the same instrumentation seams as the tracer.
+        # Metrics are derived from the engine's ledger records.
         if self.metrics is not None and "tracer" not in spec.capabilities:
             raise ValueError(
                 f"{self.algorithm} is not instrumented for metrics; "
@@ -506,8 +506,9 @@ def launch(graph: Graph, resolved: ResolvedRun, source_args: tuple = (), **run_k
 
     Step arguments are the prepared graph-side ones followed by
     ``source_args``; step keywords are the spec's ``options`` read off the
-    config, the prepared keywords and ``run_kwargs``.  Returns
-    ``(nranks, SpmdResult, fault_meta | None)``.
+    config, the prepared keywords and ``run_kwargs``.  A metered run's
+    registry is filled here, once, from the ledgers of every attempt.
+    Returns ``(nranks, SpmdResult, fault_meta | None)``.
     """
     spec, config = resolved.spec, resolved.config
     machine, threads = resolved.machine, resolved.threads
@@ -519,14 +520,8 @@ def launch(graph: Graph, resolved: ResolvedRun, source_args: tuple = (), **run_k
         if machine is not None
         else None
     )
-    engine_kwargs = dict(
-        machine=machine,
-        threads=threads,
-        trace=config.trace,
-        tracer=config.tracer,
-        metrics=config.metrics,
-    )
-    spmd, fault_meta = _run_resilient(
+    engine_kwargs = dict(machine=machine, threads=threads, tracer=config.tracer)
+    spmd, attempts, fault_meta = _run_resilient(
         prepared.nranks,
         spec.body,
         (spec.step, prepared.args + tuple(source_args), step_kwargs),
@@ -538,6 +533,8 @@ def launch(graph: Graph, resolved: ResolvedRun, source_args: tuple = (), **run_k
         runtime=config.runtime,
         timeout=config.spmd_timeout,
     )
+    if config.metrics is not None:
+        config.metrics.add_run(attempts)
     return prepared.nranks, spmd, fault_meta
 
 
@@ -597,9 +594,7 @@ def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:
             undirected=not graph.directed,
         )
 
-    level_profile = None
-    if config.trace and "trace-profile" in spec.capabilities:
-        level_profile = _merge_traces([r["trace"] for r in spmd.returns])
+    level_profile = level_profile_of(config, spec, spmd)
 
     m_traversed = count_traversed_edges(graph.csr, levels_int, graph.m_input)
     return BFSResult(
@@ -747,10 +742,10 @@ def run_bfs(
         :func:`repro.obs.run_report` and
         :func:`repro.obs.write_chrome_trace` can find it.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` recording typed
-        labeled counters/gauges/histograms from the engine, comm channel
-        and fault layer (1d/2d families only).  Passive like the tracer
-        — stats stay bit-identical — and stored in
+        Optional :class:`~repro.obs.MetricsRegistry`, filled after the
+        launch with typed labeled counters/gauges/histograms derived from
+        the stats ledger (1d/2d families only).  No rank sees it, so
+        stats stay bit-identical; it is stored in
         ``result.meta["metrics"]`` so :func:`repro.obs.run_report` embeds
         the snapshot.
     faults:
@@ -833,14 +828,17 @@ def _run_resilient(
     checkpointing disabled raises the
     :class:`~repro.faults.RankCrashError` — a clean abort, never a hang.
 
-    Returns ``(SpmdResult, fault_meta | None)``.
+    Returns ``(SpmdResult, attempts, fault_meta | None)``: the last
+    attempt's result, the :class:`~repro.mpsim.stats.SimStats` of every
+    attempt in order, and the fault accounting (whose counters, like the
+    metrics, sum over all attempts).
     """
     if faults is None and checkpoint_every is None and max_retries is None:
         spmd = run_spmd(
             nranks, body, *args, cost_model=cost_model,
             runtime=runtime, timeout=timeout, **kwargs,
         )
-        return spmd, None
+        return spmd, [spmd.stats], None
 
     plan = resolve_fault_plan(faults)
     if len(plan) and plan.max_rank() >= nranks:
@@ -856,14 +854,8 @@ def _run_resilient(
         else None
     )
 
-    counters = dict.fromkeys(_FAULT_COUNTERS, 0.0)
-
-    def accumulate(stats):
-        for name in _FAULT_COUNTERS:
-            counters[name] += stats.counter(name)
-
+    attempts: list[SimStats] = []
     restores: list[dict] = []
-    attempts = 1
     resume = None
     base = 0.0
     while True:
@@ -880,6 +872,7 @@ def _run_resilient(
             resume_level=resume,
             **kwargs,
         )
+        attempts.append(spmd.stats)
         crash = next(
             (
                 r["crashed"]
@@ -890,7 +883,6 @@ def _run_resilient(
         )
         if crash is None:
             break
-        accumulate(spmd.stats)
         base = spmd.stats.makespan
         if checkpoint is None:
             raise crash
@@ -906,20 +898,32 @@ def _run_resilient(
                 "at_time": base,
             }
         )
-        attempts += 1
 
-    accumulate(spmd.stats)
     fault_meta = {
         "spec": plan.spec(),
         "seed": plan.seed,
         "events": [event.as_dict() for event in plan.events],
         "max_retries": retry.max_retries,
         "checkpoint_every": checkpoint_every,
-        "attempts": attempts,
+        "attempts": len(attempts),
         "restores": restores,
-        "counters": counters,
+        "counters": {
+            name: sum(stats.counter(name) for stats in attempts)
+            for name in _FAULT_COUNTERS
+        },
     }
-    return spmd, fault_meta
+    return spmd, attempts, fault_meta
+
+
+def level_profile_of(config: RunConfig, spec: AlgorithmSpec, spmd) -> list[dict] | None:
+    """The run's per-level profile when ``trace=True`` asked for one.
+
+    A view over the ledger's level records of the last attempt (a
+    restarted run's profile covers ``resume_level+1`` onward).
+    """
+    if not (config.trace and "trace-profile" in spec.capabilities):
+        return None
+    return _merge_traces([rank.levels for rank in spmd.stats.comm])
 
 
 def _merge_traces(rank_traces: list[list[dict]]) -> list[dict]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.spec import FaultEvent, FaultPlan, RetryPolicy
-from repro.obs.metrics import NULL_RANK_METRICS
+from repro.mpsim.stats import Fault
 
 
 class FaultError(RuntimeError):
@@ -118,22 +118,19 @@ class RankFaults:
     Owns the rank-local transient ``used`` set (consistent across ranks
     because every rank executes the identical channel-collective
     sequence) and charges fault costs — straggler delays, timeout
-    detection, retry backoff — to the rank clock's ``fault_time``.
+    detection, retry backoff — to the rank clock's ``fault_time``.  Every
+    fired fault is booked once, as a :class:`~repro.mpsim.stats.Fault`
+    on the rank's stats ledger.
     """
 
     enabled = True
 
-    def __init__(
-        self, plan: FaultPlan, retry: RetryPolicy, comm, machine, obs,
-        metrics=NULL_RANK_METRICS,
-    ):
+    def __init__(self, plan: FaultPlan, retry: RetryPolicy, comm, machine, obs):
         self.plan = plan
         self.retry = retry
         self.comm = comm
         self.machine = machine
         self.obs = obs
-        #: Per-rank metrics handle; passive (never charges the clocks).
-        self.metrics = metrics
         self._used: set[int] = set()
 
     # -- level boundary ----------------------------------------------------
@@ -145,7 +142,7 @@ class RankFaults:
             self.obs.instant(
                 "fault-crash", level=level, victim=event.rank
             )
-            self.metrics.inc("fault_crashes")
+            self.comm.stats.faults.append(Fault("crash", None, level, 0.0))
             raise RankCrashError(event.rank, level, index)
         hit = self.plan.delay_at(self.comm.global_rank, level)
         if hit is not None:
@@ -155,8 +152,9 @@ class RankFaults:
                 with self.obs.span("fault-delay", level=level, seconds=event.seconds):
                     seconds = event.seconds if self.machine is not None else 0.0
                     self.comm.clock.charge_fault(seconds, fault_delays=1.0)
-                    self.metrics.inc("fault_delays")
-                    self.metrics.inc("fault_seconds", seconds, kind="delay")
+                    self.comm.stats.faults.append(
+                        Fault("delay", None, level, seconds)
+                    )
 
     # -- transient faults on collectives -----------------------------------
     def poll(self, site: str, level: int | None, attempt: int):
@@ -182,8 +180,7 @@ class RankFaults:
         ):
             penalty = self.retry.penalty_seconds(self.machine, attempt)
             self.comm.clock.charge_fault(penalty, fault_retries=1.0)
-            self.metrics.inc("fault_retries", 1.0, kind=event.kind, site=site)
-            self.metrics.inc("fault_seconds", penalty, kind=event.kind)
+            self.comm.stats.faults.append(Fault(event.kind, site, level, penalty))
 
     def is_corruption_victim(self, event: FaultEvent) -> bool:
         return self.comm.global_rank == event.rank
@@ -205,9 +202,7 @@ class NullRankFaults:
 NULL_RANK_FAULTS = NullRankFaults()
 
 
-def resolve_rank_faults(
-    faults, comm, machine, obs, metrics=NULL_RANK_METRICS
-) -> RankFaults | NullRankFaults:
+def resolve_rank_faults(faults, comm, machine, obs) -> RankFaults | NullRankFaults:
     """Build a rank's fault handle (the null object when unfaulted).
 
     ``faults`` is the :class:`~repro.faults.FaultContext` threaded from
@@ -215,4 +210,4 @@ def resolve_rank_faults(
     """
     if faults is None:
         return NULL_RANK_FAULTS
-    return RankFaults(faults.plan, faults.retry, comm, machine, obs, metrics)
+    return RankFaults(faults.plan, faults.retry, comm, machine, obs)

@@ -3,14 +3,62 @@
 Volumes are counted in *words* (array elements; the paper's model counts
 64-bit memory words) and are exact: they are derived from the actual NumPy
 buffers handed to the collectives, not from a model.
+
+:class:`RankStats` is the run's one ledger.  Besides the per-collective
+totals it keeps three record lists, each written once where the event
+happens: ``exchanges`` (one :class:`Exchange` per committed channel
+attempt), ``levels`` (one dict per engine level) and ``faults`` (one
+:class:`Fault` per crash, delay or retry).  The per-kind and per-level
+channel volumes, the sieve count, the per-level trace profile and the
+:class:`~repro.obs.metrics.MetricsRegistry` series are all views over
+them, so they cannot disagree.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.mpsim.clock import RankClock
+
+
+class Exchange(NamedTuple):
+    """One committed attempt of a channel collective on one rank.
+
+    ``payload_words``/``wire_words`` follow the self-exclusion convention
+    of the collective ``kind``; ``pairs`` counts the items shipped and
+    ``dropped`` the candidates the sender-side sieve removed before
+    encoding (``sieved`` says whether the exchange went through it).
+    ``retry`` marks a re-run of an exchange whose first committed attempt
+    a fault discarded: it moves its words again, but its encode and sieve
+    work were done once.
+    """
+
+    kind: str
+    level: int | None
+    payload_words: float
+    wire_words: float
+    pairs: int
+    dropped: int
+    sieved: bool
+    codec: str
+    retry: bool
+
+
+class Fault(NamedTuple):
+    """One fired fault on one rank: a crash, a delay, or a retry.
+
+    ``kind`` is ``"crash"``, ``"delay"`` or the transient kind that forced
+    a retry (``"timeout"``/``"corrupt"``); ``site`` names the retried
+    collective (``None`` for crashes and delays); ``seconds`` is the
+    modeled time charged for it.
+    """
+
+    kind: str
+    site: str | None
+    level: int
+    seconds: float
 
 
 @dataclass
@@ -18,25 +66,24 @@ class RankStats:
     """Per-rank communication record.
 
     ``words_sent``/``words_recv`` and ``calls`` are keyed by collective
-    kind (``"alltoallv"``, ``"allgatherv"``, ``"allreduce"``, ...).
+    kind (``"alltoallv"``, ``"allgatherv"``, ``"allreduce"``, ...) and
+    count every collective, channel-routed or not.  ``words_sent`` holds
+    the *wire* (post-codec) size of channel exchanges, since the
+    collectives see the encoded buffers.
     """
 
     words_sent: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     words_recv: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     mpi_time_by_kind: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: Logical (pre-codec) words per kind, reported by the comm channel.
-    #: ``words_sent`` holds the *wire* (post-codec) size of the same
-    #: exchanges, since the collectives see the encoded buffers.
-    payload_words: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: Post-codec words per kind for channel-routed exchanges only (a
-    #: subset of ``words_sent``, which also counts control collectives).
-    wire_words: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: ``{level: {kind: words}}`` breakdowns for channel-routed exchanges.
-    level_payload: dict[int, dict[str, float]] = field(default_factory=dict)
-    level_wire: dict[int, dict[str, float]] = field(default_factory=dict)
-    #: Candidates dropped by the sender-side sieve before encoding.
-    sieve_dropped: float = 0.0
+    #: Committed channel attempts, in order (see :class:`Exchange`).
+    exchanges: list[Exchange] = field(default_factory=list)
+    #: One record per engine level: the level span's attributes plus the
+    #: step's per-level counts (``frontier``, ``candidates``,
+    #: ``words_sent``, ``wire_words``, ``sieve_dropped``, ``discovered``).
+    levels: list[dict] = field(default_factory=list)
+    #: Fired faults, in order (see :class:`Fault`).
+    faults: list[Fault] = field(default_factory=list)
     #: Words sent per destination *global* rank (populated only when the
     #: run was launched with ``record_peers=True``).
     peer_words: dict[int, float] = field(default_factory=lambda: defaultdict(float))
@@ -56,31 +103,6 @@ class RankStats:
         self.calls[kind] += 1
         self.mpi_time_by_kind[kind] += mpi_seconds
 
-    def record_channel(
-        self,
-        kind: str,
-        payload_words: float,
-        wire_words: float,
-        level: int | None = None,
-        dropped: float = 0.0,
-    ) -> None:
-        """Record one channel exchange's logical vs wire volume.
-
-        Called by :class:`repro.comm.channel.CommChannel` alongside the
-        collective itself (which books the wire words into
-        ``words_sent``); keeps the self-exclusion convention of the
-        underlying collective kind.
-        """
-        self.payload_words[kind] += payload_words
-        self.wire_words[kind] += wire_words
-        self.sieve_dropped += dropped
-        if level is not None:
-            level = int(level)
-            by_kind = self.level_payload.setdefault(level, defaultdict(float))
-            by_kind[kind] += payload_words
-            by_kind = self.level_wire.setdefault(level, defaultdict(float))
-            by_kind[kind] += wire_words
-
     @property
     def total_words_sent(self) -> float:
         return float(sum(self.words_sent.values()))
@@ -88,6 +110,35 @@ class RankStats:
     @property
     def total_words_recv(self) -> float:
         return float(sum(self.words_recv.values()))
+
+
+def _sum_exchanges(comm: list[RankStats], words: str, kind: str | None) -> float:
+    return float(
+        sum(
+            getattr(x, words)
+            for r in comm
+            for x in r.exchanges
+            if kind is None or x.kind == kind
+        )
+    )
+
+
+def _by_kind(comm: list[RankStats], words: str) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    for r in comm:
+        for x in r.exchanges:
+            totals[x.kind] = totals.get(x.kind, 0.0) + getattr(x, words)
+    return dict(sorted(totals.items()))
+
+
+def _by_level(comm: list[RankStats], words: str) -> dict[int, dict[str, float]]:
+    totals: dict[int, dict[str, float]] = {}
+    for r in comm:
+        for x in r.exchanges:
+            if x.level is not None:
+                by_kind = totals.setdefault(int(x.level), {})
+                by_kind[x.kind] = by_kind.get(x.kind, 0.0) + getattr(x, words)
+    return {level: totals[level] for level in sorted(totals)}
 
 
 @dataclass
@@ -140,15 +191,11 @@ class SimStats:
 
     def payload_words(self, kind: str | None = None) -> float:
         """Logical (pre-codec) words of channel-routed exchanges."""
-        if kind is None:
-            return float(sum(sum(r.payload_words.values()) for r in self.comm))
-        return float(sum(r.payload_words.get(kind, 0.0) for r in self.comm))
+        return _sum_exchanges(self.comm, "payload_words", kind)
 
     def wire_words(self, kind: str | None = None) -> float:
         """Post-codec words of channel-routed exchanges (what beta_N prices)."""
-        if kind is None:
-            return float(sum(sum(r.wire_words.values()) for r in self.comm))
-        return float(sum(r.wire_words.get(kind, 0.0) for r in self.comm))
+        return _sum_exchanges(self.comm, "wire_words", kind)
 
     def compression_ratio(self, kind: str | None = None) -> float:
         """payload / wire over channel-routed exchanges (1.0 when untracked)."""
@@ -159,8 +206,14 @@ class SimStats:
 
     @property
     def sieve_dropped(self) -> float:
-        """Candidates dropped by the sender-side sieve, summed over ranks."""
-        return float(sum(r.sieve_dropped for r in self.comm))
+        """Candidates dropped by the sender-side sieve, summed over ranks.
+
+        A retried exchange re-sends the buffers its first attempt packed,
+        so only first attempts count.
+        """
+        return float(
+            sum(x.dropped for r in self.comm for x in r.exchanges if not x.retry)
+        )
 
     def words_by_kind(self) -> dict[str, float]:
         """Total words sent per collective kind, across all ranks."""
@@ -172,31 +225,15 @@ class SimStats:
 
     def payload_by_kind(self) -> dict[str, float]:
         """Logical words per kind for channel-routed exchanges."""
-        totals: dict[str, float] = {}
-        for rank_stats in self.comm:
-            for kind, words in rank_stats.payload_words.items():
-                totals[kind] = totals.get(kind, 0.0) + words
-        return dict(sorted(totals.items()))
+        return _by_kind(self.comm, "payload_words")
 
     def words_by_level(self) -> dict[int, dict[str, float]]:
         """``{level: {kind: wire words}}`` for channel-routed exchanges."""
-        totals: dict[int, dict[str, float]] = {}
-        for rank_stats in self.comm:
-            for level, by_kind in rank_stats.level_wire.items():
-                level_totals = totals.setdefault(level, {})
-                for kind, words in by_kind.items():
-                    level_totals[kind] = level_totals.get(kind, 0.0) + words
-        return {level: totals[level] for level in sorted(totals)}
+        return _by_level(self.comm, "wire_words")
 
     def payload_by_level(self) -> dict[int, dict[str, float]]:
         """``{level: {kind: logical words}}`` for channel-routed exchanges."""
-        totals: dict[int, dict[str, float]] = {}
-        for rank_stats in self.comm:
-            for level, by_kind in rank_stats.level_payload.items():
-                level_totals = totals.setdefault(level, {})
-                for kind, words in by_kind.items():
-                    level_totals[kind] = level_totals.get(kind, 0.0) + words
-        return {level: totals[level] for level in sorted(totals)}
+        return _by_level(self.comm, "payload_words")
 
     def calls(self, kind: str) -> int:
         """Maximum number of calls of ``kind`` made by any rank."""

@@ -6,10 +6,10 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   stamped in virtual time; the 1D/2D/direction-optimizing algorithms,
   the comm channel and the SpMSV kernels are instrumented.  Installing
   no tracer costs nothing (shared no-op handles).
-* :mod:`~repro.obs.metrics` — labeled counters/gauges/histograms behind
-  the same null-object pattern; engine, comm channel, fault injector
-  and query steps are instrumented, and every counter reconciles
-  exactly with the span/stats-derived quantities.
+* :mod:`~repro.obs.metrics` — labeled counters/gauges/histograms
+  derived after each launch from the stats ledger (exchanges, levels,
+  faults, clock counters), so every counter equals the ledger quantity
+  it views.
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (one track per
   rank; open in Perfetto) and the machine-readable run report.
 * :mod:`~repro.obs.events` — the schema-versioned JSONL event log and
@@ -69,14 +69,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     METRICS_SCHEMA,
-    NULL_METRICS,
-    NULL_RANK_METRICS,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
-    NullRankMetrics,
     RankMetrics,
-    resolve_metrics,
 )
 from repro.obs.regress import (
     DEFAULT_THRESHOLD,
@@ -143,14 +138,9 @@ __all__ = [
     "analyze_trajectory",
     "resolve_series",
     "METRICS_SCHEMA",
-    "NULL_METRICS",
-    "NULL_RANK_METRICS",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "NullRankMetrics",
     "RankMetrics",
-    "resolve_metrics",
     "NULL_RANK_TRACER",
     "NULL_TRACER",
     "NullRankTracer",

@@ -1,29 +1,28 @@
 """Typed, labeled runtime metrics for simulated BFS runs.
 
-A :class:`MetricsRegistry` collects numeric metrics — monotonic
-**counters**, last-value **gauges**, and bucketed **histograms** — from
-the instrumented subsystems: the
-:class:`~repro.core.engine.TraversalEngine` (levels, frontier sizes,
-candidates, checkpoint saves/restores, active query lanes), the
-:class:`~repro.comm.channel.CommChannel` (payload/wire words, codec
-encodes, sieve probes/drops), :mod:`repro.faults` (retries, delays,
-recovery virtual-time cost) and the :mod:`repro.query` steps
-(lane-prune hit rates).
+A :class:`MetricsRegistry` holds numeric metrics — monotonic
+**counters**, last-value **gauges**, and bucketed **histograms** — about
+one run: engine levels, frontier sizes and candidates, checkpoint saves
+and restores, active query lanes, payload/wire words, codec encodes,
+sieve and lane-prune hit rates, fault retries, delays and recovery cost.
 
-The design mirrors :class:`~repro.obs.tracer.Tracer` exactly:
-
-* one :class:`RankMetrics` recording handle per simulated rank, obtained
-  through :meth:`MetricsRegistry.for_rank`, so the hot path never locks;
-* metrics are **passive** — they never touch the virtual clocks, so a
-  metered run is bit-identical (parents, clocks, spans, stats) to an
-  unmetered one (``tests/test_obs_metrics.py`` asserts it per family);
-* when no registry is installed the instrumented code paths go through
-  the shared no-op :data:`NULL_RANK_METRICS` — zero state, zero charges.
+Metrics are a **view of the stats ledger**, not a second record.  The
+engine, the comm channel and the fault layer write each event once, to
+the rank's :class:`~repro.mpsim.stats.RankStats` (``exchanges``,
+``levels``, ``faults``) and clock counters; after the launch, in the
+parent, :meth:`MetricsRegistry.add_run` derives every series from the
+ledgers of all the launch's attempts.  No rank body sees the registry,
+so metering cannot perturb a run (parents, clocks, spans and stats stay
+bit-identical, ``tests/test_obs_metrics.py`` asserts it per family), and
+the counters cannot disagree with the ledger: ``comm_wire_words`` sums
+to ``result.stats.wire_words()``, ``sieve_dropped`` to
+``result.stats.sieve_dropped``, ``fault_retries`` to the clock counter
+of the same name, and so on.
 
 Every sample may carry string **labels** (``kind="alltoallv"``,
 ``codec="raw"``, ``level=3``); a metric name is bound to exactly one
-type on first use and re-use under a different type raises.  Read the
-results back aggregated across ranks::
+type on first use and re-use under a different type raises.  Series are
+kept per rank and read back aggregated across ranks::
 
     from repro.obs import MetricsRegistry
 
@@ -33,16 +32,10 @@ results back aggregated across ranks::
     metrics.counter_value("comm_wire_words", kind="alltoallv")
     print(metrics.render_openmetrics())        # text exposition
     snapshot = metrics.snapshot()              # JSON-able dict
-
-The counters reconcile *exactly* with the independently-derived
-quantities of the run: ``comm_wire_words`` sums to
-``result.stats.wire_words()``, ``fault_retries`` to the clock counter of
-the same name, and so on — the cross-check tests lock this in.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -109,12 +102,7 @@ class Histogram:
 
 
 class RankMetrics:
-    """Per-rank recording handle (one per simulated rank, lock-free).
-
-    Obtained through :meth:`MetricsRegistry.for_rank`; each simulated
-    rank writes only to its own series maps, exactly like
-    :class:`~repro.obs.tracer.RankTracer` and its span lists.
-    """
+    """One rank's series maps, obtained through :meth:`MetricsRegistry.for_rank`."""
 
     __slots__ = ("rank", "_registry", "counters", "gauges", "histograms")
 
@@ -150,67 +138,92 @@ class RankMetrics:
         hist.observe(value)
 
 
-class NullRankMetrics:
-    """Disabled per-rank handle: every call is a shared no-op."""
-
-    __slots__ = ()
-
-    def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        return None
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        return None
-
-
-NULL_RANK_METRICS = NullRankMetrics()
-
-
 class MetricsRegistry:
     """Run-wide metric collector: one :class:`RankMetrics` per rank.
 
     Pass one instance to ``run_bfs(..., metrics=registry)`` (or
-    ``run_query``); after the run, read series back aggregated across
-    ranks.  Like a tracer, a registry records exactly one run — call
-    :meth:`reset` (or build a fresh one) before reusing it.
+    ``run_query``); every launch of the run adds its series through
+    :meth:`add_run`, and you read them back aggregated across ranks.  A
+    registry describes one run — call :meth:`reset` (or build a fresh
+    one) before reusing it.
     """
 
     def __init__(self):
         self._ranks: dict[int, RankMetrics] = {}
         self._types: dict[str, str] = {}
         self._buckets: dict[str, tuple] = {}
-        self._lock = threading.Lock()
 
     # -- recording side -----------------------------------------------------
-    def for_rank(self, comm) -> RankMetrics:
-        """The recording handle of ``comm``'s global rank (thread-safe).
-
-        ``comm`` may be a communicator or a bare rank id — handy for
-        tests and offline tooling that have no communicator in hand.
-        """
-        rank = comm if isinstance(comm, int) else comm.global_rank
-        with self._lock:
-            rm = self._ranks.get(rank)
-            if rm is None:
-                rm = RankMetrics(rank, self)
-                self._ranks[rank] = rm
-            return rm
+    def for_rank(self, rank: int) -> RankMetrics:
+        """The series maps of global rank ``rank`` (created on first use)."""
+        rm = self._ranks.get(rank)
+        if rm is None:
+            rm = self._ranks[rank] = RankMetrics(rank, self)
+        return rm
 
     def declare_histogram(self, name: str, buckets) -> None:
         """Pre-bind a histogram's bucket bounds (before first observe)."""
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
-        with self._lock:
-            self._bind(name, HISTOGRAM)
-            existing = self._buckets.get(name)
-            if existing is not None and existing != bounds:
-                raise ValueError(
-                    f"histogram {name!r} already declared with buckets {existing}"
-                )
-            self._buckets[name] = bounds
+        self._bind(name, HISTOGRAM)
+        existing = self._buckets.get(name)
+        if existing is not None and existing != bounds:
+            raise ValueError(
+                f"histogram {name!r} already declared with buckets {existing}"
+            )
+        self._buckets[name] = bounds
+
+    def add_run(self, attempts) -> None:
+        """Add one launch's series, derived from its stats ledgers.
+
+        ``attempts`` holds the :class:`~repro.mpsim.stats.SimStats` of
+        every attempt of the launch, in order (one, unless a crash forced
+        checkpoint restarts), so counters accumulate across attempts:
+        a failed attempt's work is real modeled work.  The only writer
+        of metric series; see the taxonomy in ``docs/observability.md``.
+        """
+        for stats in attempts:
+            for rank, (clock, ledger) in enumerate(zip(stats.clocks, stats.comm)):
+                m = self.for_rank(rank)
+                for lv in ledger.levels:
+                    m.inc("engine_levels")
+                    m.inc("engine_candidates", float(lv["candidates"]))
+                    m.inc("engine_discovered", float(lv["discovered"]), level=lv["level"])
+                    m.observe("engine_frontier_size", float(lv["frontier"]))
+                    if "lanes" in lv:
+                        m.set_gauge("query_lanes_active", float(lv["lanes"]), level=lv["level"])
+                    if "direction" in lv:
+                        m.inc("engine_direction_levels", direction=lv["direction"])
+                    if "lane_prune_kept" in lv:
+                        m.inc("lane_prune_candidates", float(lv["candidates"]))
+                        m.inc("lane_prune_kept", float(lv["lane_prune_kept"]))
+                for x in ledger.exchanges:
+                    m.inc("comm_exchanges", kind=x.kind)
+                    m.inc("comm_payload_words", x.payload_words, kind=x.kind)
+                    m.inc("comm_wire_words", x.wire_words, kind=x.kind)
+                    m.observe("comm_wire_words_per_exchange", x.wire_words, kind=x.kind)
+                    if x.retry:
+                        continue
+                    if x.sieved:
+                        m.inc("sieve_candidates", float(x.pairs + x.dropped))
+                        m.inc("sieve_dropped", float(x.dropped))
+                    m.inc("codec_encodes", codec=x.codec)
+                for f in ledger.faults:
+                    if f.kind == "crash":
+                        m.inc("fault_crashes")
+                        continue
+                    if f.kind == "delay":
+                        m.inc("fault_delays")
+                    else:
+                        m.inc("fault_retries", kind=f.kind, site=f.site)
+                    m.inc("fault_seconds", f.seconds, kind=f.kind)
+                for name, counter in (
+                    ("checkpoint_saves", "checkpoints"),
+                    ("checkpoint_restores", "restores"),
+                ):
+                    if clock.counters.get(counter):
+                        m.inc(name, clock.counters[counter])
 
     def buckets_for(self, name: str) -> tuple:
         return self._buckets.get(name, DEFAULT_BUCKETS)
@@ -301,9 +314,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop all recorded series so the registry can meter another run."""
-        with self._lock:
-            self._ranks.clear()
-            self._types.clear()
+        self._ranks.clear()
+        self._types.clear()
 
     # -- exposition ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -380,18 +392,3 @@ def _openmetrics_labels(key: tuple) -> str:
         return ""
     inner = ",".join(f'{k}="{v}"' for k, v in key)
     return "{" + inner + "}"
-
-
-class NullMetrics:
-    """Drop-in disabled registry (what ``metrics=None`` resolves to)."""
-
-    def for_rank(self, comm) -> NullRankMetrics:
-        return NULL_RANK_METRICS
-
-
-NULL_METRICS = NullMetrics()
-
-
-def resolve_metrics(metrics) -> MetricsRegistry | NullMetrics:
-    """Normalize a ``metrics`` argument: ``None`` means the null registry."""
-    return metrics if metrics is not None else NULL_METRICS

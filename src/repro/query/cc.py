@@ -88,7 +88,6 @@ class ConnectedComponents1D:
             sieve=None,
             charger=engine.charger,
             tracer=engine.obs,
-            metrics=engine.metrics,
             faults=engine.faults,
         )
         #: Component label per owned vertex (the marshaled "parents").

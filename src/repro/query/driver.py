@@ -172,14 +172,6 @@ def _base_meta(graph, config, resolved, fault_meta, level_profile) -> dict:
     }
 
 
-def _level_profile(config, resolved, spmd):
-    from repro.core.runner import _merge_traces
-
-    if config.trace and "trace-profile" in resolved.spec.capabilities:
-        return _merge_traces([r["trace"] for r in spmd.returns])
-    return None
-
-
 def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
     from repro.core import runner
     from repro.core.validate import count_traversed_edges
@@ -208,9 +200,8 @@ def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
         count_traversed_edges(graph.csr, levels_int[:, b], graph.m_input)
         for b in range(sources.size)
     )
-    meta = _base_meta(
-        graph, config, resolved, fault_meta, _level_profile(config, resolved, spmd)
-    )
+    profile = runner.level_profile_of(config, resolved.spec, spmd)
+    meta = _base_meta(graph, config, resolved, fault_meta, profile)
     meta["sources"] = sources.tolist()
     return QueryResult(
         levels=graph.relabel_level_array(levels_int),
@@ -258,9 +249,8 @@ def _run_cc(graph: Graph, config, resolved) -> QueryResult:
     comp = _canonical_components(
         graph.n, np.asarray(graph.relabel_vertex_array(comp_int))
     )
-    meta = _base_meta(
-        graph, config, resolved, fault_meta, _level_profile(config, resolved, spmd)
-    )
+    profile = runner.level_profile_of(config, resolved.spec, spmd)
+    meta = _base_meta(graph, config, resolved, fault_meta, profile)
     meta["components"] = int(np.unique(comp).size)
     return QueryResult(
         levels=graph.relabel_level_array(levels_int),
@@ -327,7 +317,7 @@ def _run_sssp(graph: Graph, config, resolved) -> QueryResult:
             time_comm += spmd.stats.max_mpi_time
             time_comp += spmd.stats.max_compute_time
         stats = spmd.stats
-        profile = _level_profile(config, resolved, spmd)
+        profile = runner.level_profile_of(config, resolved.spec, spmd)
         if profile is not None:
             lane_profiles.append(profile)
 

@@ -102,7 +102,6 @@ class MSBFS1D:
         self.comm = comm
         self.charger = engine.charger
         self.obs = engine.obs
-        self.metrics = engine.metrics
         self.threads = engine.threads
         self.part = Partition1D(csr.n, comm.size)
         self.lo, self.hi = self.part.range_of(comm.rank)
@@ -114,7 +113,6 @@ class MSBFS1D:
             sieve=None,
             charger=engine.charger,
             tracer=engine.obs,
-            metrics=engine.metrics,
             faults=engine.faults,
         )
 
@@ -158,14 +156,14 @@ class MSBFS1D:
         # 2. Lane-dominance prune (the batched dedup): at most one
         #    surviving candidate per (target, lane).
         candidates = int(targets.size)
+        extra = {"lanes": self.nlanes}
         if self.dedup_sends:
             with obs.span("ms-dedup"):
                 targets, sources, words = prune_lane_candidates(
                     targets, sources, words, self.nlanes
                 )
                 charger.sort(candidates)
-                self.metrics.inc("lane_prune_candidates", float(candidates))
-                self.metrics.inc("lane_prune_kept", float(targets.size))
+                extra["lane_prune_kept"] = int(targets.size)
         with obs.span("ms-pack"):
             owners = self.part.owner_of(targets)
             send, xinfo = self.channel.pack_triples(
@@ -216,7 +214,7 @@ class MSBFS1D:
             words_sent=int(3 * xinfo.pairs),
             wire_words=int(xinfo.wire_words),
             sieve_dropped=0,
-            extra={"lanes": self.nlanes},
+            extra=extra,
         )
 
     def termination_sync(self) -> int:

@@ -144,7 +144,6 @@ class DeltaSSSP1D:
             sieve=None,
             charger=engine.charger,
             tracer=engine.obs,
-            metrics=engine.metrics,
             faults=engine.faults,
         )
         self.dist = np.full(self.nloc, INF, dtype=np.int64)

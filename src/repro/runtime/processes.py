@@ -17,11 +17,11 @@ goes through a parent-side coordinator:
   carries ``(name, dtype, shape)`` and receivers reattach the segment
   as a numpy view, so bulk buffers cross process boundaries without a
   serialize/copy through the pipe;
-* a worker's terminal message ships its rank-local shards — clock, wire
-  stats, tracer spans, metrics series, checkpoint snapshots — and the
-  coordinator merges them into the caller's objects, so obs and
-  checkpoint-restart behave exactly as under the shared-memory
-  backends.
+* a worker's terminal message ships its rank-local shards — clock, stats
+  ledger, tracer spans, checkpoint snapshots — and the coordinator
+  merges them into the caller's objects, so obs and checkpoint-restart
+  behave exactly as under the in-process backend (metrics are derived
+  from the merged ledger after the launch, so they need no shard).
 
 Group identity across address spaces: every worker executes the same
 deterministic collective sequence, so a group is named by its global
@@ -256,10 +256,10 @@ class ProcessEngine(EngineBase):
 def _collect_shards(rank: int, kwargs: dict) -> dict:
     """Extract rank ``rank``'s mutations of the obs/fault objects.
 
-    The run's cross-cutting collaborators (tracer, metrics, checkpoint
-    store) arrive in the body's keyword arguments; each keys its state
-    per rank, and a worker only ever writes its own rank's entries — so
-    shipping those entries wholesale reconstructs the run exactly.
+    The run's cross-cutting collaborators (tracer, checkpoint store)
+    arrive in the body's keyword arguments; each keys its state per rank,
+    and a worker only ever writes its own rank's entries — so shipping
+    those entries wholesale reconstructs the run exactly.
     """
     shards: dict = {}
     tracer = kwargs.get("tracer")
@@ -267,17 +267,6 @@ def _collect_shards(rank: int, kwargs: dict) -> dict:
         rt = tracer._ranks.get(rank)
         if rt is not None:
             shards["spans"] = rt.spans
-    metrics = kwargs.get("metrics")
-    if metrics is not None and hasattr(metrics, "_ranks"):
-        rm = metrics._ranks.get(rank)
-        if rm is not None:
-            shards["metrics"] = (
-                rm.counters,
-                rm.gauges,
-                rm.histograms,
-                dict(metrics._types),
-                dict(metrics._buckets),
-            )
     store = getattr(kwargs.get("checkpoint"), "store", None)
     if store is not None and hasattr(store, "_levels"):
         shards["checkpoints"] = {
@@ -305,15 +294,6 @@ def _merge_shards(engine: ProcessEngine, kwargs: dict, rank: int, payload: dict)
             rt._clock = engine.clocks[rank]
             rt._stack.clear()
         rt.spans = shards["spans"]
-    metrics = kwargs.get("metrics")
-    if "metrics" in shards and metrics is not None:
-        counters, gauges, histograms, types, buckets = shards["metrics"]
-        metrics._types.update(types)
-        metrics._buckets.update(buckets)
-        rm = metrics.for_rank(rank)
-        rm.counters = counters
-        rm.gauges = gauges
-        rm.histograms = histograms
     store = getattr(kwargs.get("checkpoint"), "store", None)
     if "checkpoints" in shards and store is not None:
         for level, snap in shards["checkpoints"].items():

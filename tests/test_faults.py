@@ -17,7 +17,9 @@ from repro.faults import (
     random_fault_plan,
     resolve_fault_plan,
 )
+from repro.graphs import rmat_graph
 from repro.model.machine import HOPPER
+from repro.obs import MetricsRegistry
 
 
 class TestFaultEvent:
@@ -248,3 +250,27 @@ class TestRunnerGating:
         assert result.meta["faults"]["attempts"] == 1
         assert result.meta["faults"]["restores"] == []
         assert np.array_equal(result.parents, plain.parents)
+
+
+class TestRetriedExchangeAccounting:
+    """A retried exchange moves its words again but packs nothing new."""
+
+    def test_sieve_drops_count_once_under_a_corrupt_retry(self):
+        registry = MetricsRegistry()
+        result = run_bfs(
+            rmat_graph(10, seed=3), 5, "1d", nprocs=4, machine="hopper",
+            codec="delta-varint", sieve=True,
+            faults="corrupt:rank=0,level=3,site=alltoallv", metrics=registry,
+        )
+        stats = result.stats
+        assert stats.counter("fault_corruptions") == 1
+        assert stats.counter("fault_retries") == result.nranks
+        # The sieve ran once per exchange, so the ledger, the clock
+        # counter and the metric all count its drops once.
+        assert stats.sieve_dropped == stats.counter("sieve_dropped")
+        assert registry.counter_value("sieve_dropped") == stats.sieve_dropped
+        # The retried attempt is still on the wire: its words count twice.
+        assert stats.wire_words("alltoallv") == stats.words_sent("alltoallv")
+        retried = [x for rank in stats.comm for x in rank.exchanges if x.retry]
+        assert len(retried) == result.nranks
+        assert {(x.kind, x.level) for x in retried} == {("alltoallv", 3)}

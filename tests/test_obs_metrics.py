@@ -1,15 +1,15 @@
-"""Metrics registry: typed labeled series, null path, reconciliation.
+"""Metrics registry: typed labeled series, passivity, reconciliation.
 
 Three contracts:
 
 * the registry itself — typed counter/gauge/histogram series keyed by
   sorted label sets, OpenMetrics rendering, versioned JSON snapshot;
-* the **null path** — installing a registry is passive: a metered run
-  is bit-identical to an unmetered one (same parents, same clocks to
-  the ULP), mirroring the tracer's zero-overhead contract;
-* **reconciliation** — every instrumented counter equals the quantity
-  the stats ledger / result derives independently, exactly, not
-  approximately.
+* **passivity** — installing a registry changes nothing about the run:
+  a metered run is bit-identical to an unmetered one (same parents,
+  same clocks to the ULP), since the series are derived from the stats
+  ledger after the launch;
+* **reconciliation** — every counter equals the quantity the stats
+  ledger / result reports, exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_bfs
-from repro.obs import (
-    METRICS_SCHEMA,
-    NULL_METRICS,
-    NULL_RANK_METRICS,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    resolve_metrics,
-)
+from repro.obs import METRICS_SCHEMA, Histogram, MetricsRegistry
 
 from tests.conftest import launch_any
 
@@ -120,19 +112,6 @@ class TestRegistry:
 
 
 class TestNullPath:
-    def test_resolve_metrics_defaults_to_shared_null(self):
-        assert resolve_metrics(None) is NULL_METRICS
-        assert isinstance(resolve_metrics(None), NullMetrics)
-        reg = MetricsRegistry()
-        assert resolve_metrics(reg) is reg
-
-    def test_null_handles_are_inert(self):
-        handle = NULL_METRICS.for_rank(0)
-        assert handle is NULL_RANK_METRICS
-        handle.inc("x")
-        handle.set_gauge("g", 1.0)
-        handle.observe("h", 2.0)  # no-ops, no state anywhere
-
     def test_uninstrumented_families_reject_metrics(self, rmat_small):
         with pytest.raises(ValueError, match="not instrumented"):
             run_bfs(rmat_small, 5, "serial", nprocs=2, metrics=MetricsRegistry())

@@ -12,7 +12,10 @@ never results.
 The fault half of the contract gets its own sweep: an injected crash
 plus checkpoint-restart must recover identically — same recovered tree,
 same attempt count, same restore records on the same virtual timeline —
-on every backend, for every flat fault-capable family.
+on every backend, for every flat fault-capable family.  Metering gets
+one too: the metrics are derived from the stats ledger each worker
+ships home, so one family per registry kind must render the same
+OpenMetrics text on every backend.
 
 ``RUNTIME_BACKEND_ALGORITHMS`` is an import-time snapshot of the
 registry, wired into ``tests/test_registry_coverage.py`` as the
@@ -33,7 +36,7 @@ from repro import runtime
 from repro.core.runner import ALGORITHMS, RunConfig
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 
 from tests.conftest import launch_any
 
@@ -53,6 +56,11 @@ CRASH_ALGORITHMS = sorted(
     name
     for name, spec in ALGORITHMS.items()
     if "faults" in spec.capabilities and not spec.hybrid
+)
+
+#: One metered family per registry kind (the first traced name of each).
+METERED_ALGORITHMS = sorted(
+    {ALGORITHMS[name].kind: name for name in reversed(TRACED_ALGORITHMS)}.values()
 )
 
 RUNTIMES = runtime.BACKENDS
@@ -111,6 +119,18 @@ def test_runtime_switch_preserves_spans(algorithm):
             for s in tracer.all_spans()
         ]
     assert streams["processes"] == streams["sequential"]
+
+
+@pytest.mark.parametrize("algorithm", METERED_ALGORITHMS)
+def test_runtime_switch_preserves_metrics(algorithm):
+    """A metered run renders the same exposition under every backend."""
+    texts = {}
+    for name in RUNTIMES:
+        registry = MetricsRegistry()
+        _run(algorithm, name, codec="delta-varint", metrics=registry)
+        texts[name] = registry.render_openmetrics()
+    assert "comm_wire_words" in texts["sequential"]
+    assert texts["processes"] == texts["sequential"]
 
 
 @pytest.mark.parametrize("algorithm", CRASH_ALGORITHMS)
